@@ -8,15 +8,14 @@ generators (tasks), and the experiment harness plus CLI (harness, cli).
 """
 
 from .bounds import BoundReport, compute_bound, saturation_sweep
-from .cells import (BpttResult, CellGrads, CellParams, FinalStateMse, StepCache,
-                    cell_backward, cell_forward, gru_forward, jacobian_h, modrelu,
-                    ncgru_forward, sequence_bptt, sequence_forward)
+from .cells import (BpttResult, CellParams, FinalStateMse, StepCache, cell_backward,
+                    cell_forward, jacobian_h, modrelu, sequence_bptt, sequence_forward)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
 from .harness import (ExperimentConfig, Model, RunResult, build_model, count_params,
                       load_checkpoint, match_hidden, run_ablation, run_gradcheck,
                       run_training, save_checkpoint)
-from .linalg import exact_inverse, fro_dist_identity, matmul, spectral_norm
+from .linalg import exact_inverse, fro_dist_identity, spectral_norm
 from .optim import Optimizer
 from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
                         init_skew, make_scaling)
@@ -28,15 +27,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "compute_bound", "saturation_sweep",
-    "BpttResult", "CellGrads", "CellParams", "FinalStateMse", "StepCache",
-    "cell_backward", "cell_forward", "gru_forward", "jacobian_h", "modrelu",
-    "ncgru_forward", "sequence_bptt", "sequence_forward",
+    "BpttResult", "CellParams", "FinalStateMse", "StepCache",
+    "cell_backward", "cell_forward", "jacobian_h", "modrelu",
+    "sequence_bptt", "sequence_forward",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
     "NumericError", "ShapeError", "SingularMatrixError",
     "ExperimentConfig", "Model", "RunResult", "build_model", "count_params",
     "load_checkpoint", "match_hidden", "run_ablation", "run_gradcheck",
     "run_training", "save_checkpoint",
-    "exact_inverse", "fro_dist_identity", "matmul", "spectral_norm",
+    "exact_inverse", "fro_dist_identity", "spectral_norm",
     "Optimizer",
     "NeumannDiagnostics", "SkewOrthogonal", "cayley_transform", "init_skew",
     "make_scaling",

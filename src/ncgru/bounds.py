@@ -58,14 +58,6 @@ class BoundReport:
     gate_saturation: float
     near_kink: bool
 
-    CSV_HEADER = ("alpha,beta,delta_u,delta_r,norm_u_r,norm_u_u,norm_u_c,"
-                  "bound,measured,slack,gate_saturation,near_kink")
-
-    def to_csv_row(self) -> str:
-        vals = [self.alpha, self.beta, self.delta_u, self.delta_r,
-                self.norm_u_r, self.norm_u_u, self.norm_u_c,
-                self.bound, self.measured, self.slack, self.gate_saturation]
-        return ",".join(repr(v) for v in vals) + f",{int(self.near_kink)}"
 
 
 def _norm(m: np.ndarray, tol: float) -> float:
@@ -187,11 +179,3 @@ def saturation_sweep(p: CellParams, regime: str, samples: int, seed: int,
         min_slack=min(rep.slack for rep in reports),
         reports=reports,
     )
-
-
-def write_reports_csv(reports, path) -> None:
-    """Dump BoundReports to a CSV file with the fixed header."""
-    lines = [BoundReport.CSV_HEADER]
-    lines.extend(rep.to_csv_row() for rep in reports)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

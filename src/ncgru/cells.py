@@ -33,7 +33,7 @@ differences in the test-suite pin them down. modReLU is flat at its kink
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,13 +47,8 @@ _KINK_ATOL = 1e-6
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the side that cannot overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates instead of overflowing, so no branch on the sign of x
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def modrelu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,8 +63,7 @@ class CellParams:
     w_* map inputs (n, m); u_* map the previous hidden state (n, n);
     b_r and b_u are gate biases. The candidate bias is variant-specific:
     b_c for gru, modrelu_b for ncgru; the unused one stays None.
-    ortho_set names the recurrent weights a harness keeps orthogonal
-    ("u_r", "u_u", "u_c"); the cell itself treats them as ordinary arrays.
+    cell_backward and sequence_bptt return gradients in this container too.
     """
 
     variant: str
@@ -83,7 +77,6 @@ class CellParams:
     b_u: np.ndarray
     b_c: np.ndarray | None = None
     modrelu_b: np.ndarray | None = None
-    ortho_set: tuple[str, ...] = ()
 
     @property
     def n(self) -> int:
@@ -94,31 +87,25 @@ class CellParams:
         return self.w_r.shape[1]
 
     @classmethod
-    def init(cls, variant: str, n: int, m: int, seed: int,
-             ortho_set: tuple[str, ...] = ()) -> "CellParams":
-        """Glorot-uniform weights, zero biases. Recurrent weights listed in
-        ortho_set are expected to be overwritten by the caller."""
+    def init(cls, variant: str, n: int, m: int, seed: int) -> "CellParams":
+        """Glorot-uniform weights, zero biases. A caller that keeps a
+        recurrent weight orthogonal overwrites it."""
         if variant not in _VARIANTS:
             raise ContractError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
-        for name in ortho_set:
-            if name not in ("u_r", "u_u", "u_c"):
-                raise ContractError(f"ortho_set entry {name!r} is not a recurrent weight")
         rng = np.random.default_rng(seed)
 
         def glorot(rows: int, cols: int) -> np.ndarray:
             lim = np.sqrt(6.0 / (rows + cols))
             return rng.uniform(-lim, lim, (rows, cols))
 
-        p = cls(
+        return cls(
             variant=variant,
             w_r=glorot(n, m), w_u=glorot(n, m), w_c=glorot(n, m),
             u_r=glorot(n, n), u_u=glorot(n, n), u_c=glorot(n, n),
             b_r=np.zeros(n), b_u=np.zeros(n),
             b_c=np.zeros(n) if variant == "gru" else None,
             modrelu_b=np.zeros(n) if variant == "ncgru" else None,
-            ortho_set=tuple(ortho_set),
         )
-        return p
 
     def named_arrays(self):
         """(name, array) pairs for every trainable tensor, in a fixed order."""
@@ -131,56 +118,10 @@ class CellParams:
             pairs.append(("modrelu_b", self.modrelu_b))
         return pairs
 
-    def validate(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ContractError(f"unknown variant {self.variant!r}")
-        n, m = self.n, self.m
-        for name, arr in self.named_arrays():
-            if arr is None:
-                raise ContractError(f"{name} missing for variant {self.variant!r}")
-            want = {"w": (n, m), "u": (n, n), "b": (n,), "m": (n,)}[name[0]]
-            if arr.shape != want:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
-        if self.variant == "gru" and self.modrelu_b is not None:
-            raise ContractError("gru cell must not carry modrelu_b")
-        if self.variant == "ncgru" and self.b_c is not None:
-            raise ContractError("ncgru cell must not carry an additive candidate bias")
 
-
-@dataclass
-class CellGrads:
-    """Gradient accumulator mirroring CellParams."""
-
-    w_r: np.ndarray
-    w_u: np.ndarray
-    w_c: np.ndarray
-    u_r: np.ndarray
-    u_u: np.ndarray
-    u_c: np.ndarray
-    b_r: np.ndarray
-    b_u: np.ndarray
-    b_c: np.ndarray | None = None
-    modrelu_b: np.ndarray | None = None
-
-    @classmethod
-    def zeros_like(cls, p: CellParams) -> "CellGrads":
-        return cls(
-            w_r=np.zeros_like(p.w_r), w_u=np.zeros_like(p.w_u), w_c=np.zeros_like(p.w_c),
-            u_r=np.zeros_like(p.u_r), u_u=np.zeros_like(p.u_u), u_c=np.zeros_like(p.u_c),
-            b_r=np.zeros_like(p.b_r), b_u=np.zeros_like(p.b_u),
-            b_c=np.zeros_like(p.b_c) if p.b_c is not None else None,
-            modrelu_b=np.zeros_like(p.modrelu_b) if p.modrelu_b is not None else None,
-        )
-
-    def named_arrays(self):
-        pairs = [("w_r", self.w_r), ("w_u", self.w_u), ("w_c", self.w_c),
-                 ("u_r", self.u_r), ("u_u", self.u_u), ("u_c", self.u_c),
-                 ("b_r", self.b_r), ("b_u", self.b_u)]
-        if self.b_c is not None:
-            pairs.append(("b_c", self.b_c))
-        if self.modrelu_b is not None:
-            pairs.append(("modrelu_b", self.modrelu_b))
-        return pairs
+def _zeros_like(p: CellParams) -> CellParams:
+    """Gradient accumulator: p's variant and shapes, every array zero."""
+    return replace(p, **{name: np.zeros_like(arr) for name, arr in p.named_arrays()})
 
 
 @dataclass
@@ -251,18 +192,6 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
     return (h_t if bx else h_t[:, 0]), cache
 
 
-def gru_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray):
-    if p.variant != "gru":
-        raise ContractError(f"gru_forward called on variant {p.variant!r}")
-    return cell_forward(p, x_t, h_prev)
-
-
-def ncgru_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray):
-    if p.variant != "ncgru":
-        raise ContractError(f"ncgru_forward called on variant {p.variant!r}")
-    return cell_forward(p, x_t, h_prev)
-
-
 def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
     """d c_t / d pre_c, entrywise."""
     if p.variant == "gru":
@@ -271,12 +200,12 @@ def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
 
 
 def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
-                  into: CellGrads | None = None) -> tuple[CellGrads, np.ndarray]:
+                  into: CellParams | None = None) -> tuple[CellParams, np.ndarray]:
     """Backpropagate dL/dh_t through one step.
 
-    Returns (weight gradients, dL/dh_{t-1}). Bias gradients are summed over
-    the batch. When into is given, gradients accumulate there (and it is
-    also returned), which is what the sequence loop uses.
+    Returns (weight gradients in a CellParams, dL/dh_{t-1}). Bias gradients
+    are summed over the batch. When into is given, gradients accumulate
+    there (and it is also returned), which is what the sequence loop uses.
     """
     if p.variant != cache.variant:
         raise ContractError(
@@ -286,7 +215,7 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
         raise ShapeError(f"grad_h shape {g_h.shape} does not match h_t {cache.h_t.shape}")
     if batched != cache.batched:
         raise ShapeError("grad_h batchedness does not match the cached step")
-    g = into if into is not None else CellGrads.zeros_like(p)
+    g = into if into is not None else _zeros_like(p)
 
     h, r, u, c = cache.h_prev, cache.r_t, cache.u_t, cache.c_t
     g_u_gate = g_h * (c - h)
@@ -333,8 +262,7 @@ def sequence_forward(p: CellParams, inputs) -> list[np.ndarray]:
 @dataclass
 class BpttResult:
     loss: float
-    grads: CellGrads
-    hs: list
+    grads: CellParams
 
 
 def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
@@ -359,7 +287,7 @@ def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
         raise ContractError(
             f"loss returned {len(step_grads)} step gradients for {len(hs)} steps")
 
-    grads = CellGrads.zeros_like(p)
+    grads = _zeros_like(p)
     g_h = None
     for t in range(len(xs) - 1, -1, -1):
         inject = step_grads[t]
@@ -368,7 +296,7 @@ def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
         if g_h is None:
             continue
         grads, g_h = cell_backward(p, caches[t], g_h, into=grads)
-    return BpttResult(loss=float(loss_value), grads=grads, hs=hs)
+    return BpttResult(loss=float(loss_value), grads=grads)
 
 
 def _normalize_inputs(inputs) -> list[np.ndarray]:

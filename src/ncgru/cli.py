@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import tasks
-from .errors import ConfigError, NcgruError
+from .errors import ConfigError, ContractError, NcgruError
 from .harness import ABLATION_MODES, ExperimentConfig, run_ablation, run_gradcheck, run_training
 
 
@@ -51,6 +51,7 @@ def _cmd_train(args) -> int:
           + f" max_drift={run.max_drift:.3e} max_contraction={run.max_contraction:.3e}")
     if run.metrics_path:
         print(f"metrics: {run.metrics_path}")
+    if run.checkpoint_path:
         print(f"checkpoint: {run.checkpoint_path}")
     return 0 if run.status == "completed" else 1
 
@@ -68,6 +69,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     scopes = ("cayley", "cell", "bptt") if args.scope == "all" else (args.scope,)
     ok = True
     for scope in scopes:
@@ -79,7 +82,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    batch = tasks.make_batch(args.task, args.T, args.count, args.seed)
+    try:
+        batch = tasks.make_batch(args.task, args.T, args.count, args.seed)
+    except ContractError as err:
+        # the task name is checked by argparse, so this is --T or --count
+        raise ConfigError(str(err)) from err
     n = tasks.dump_jsonl(batch, args.out)
     print(f"wrote {n} samples to {args.out}")
     return 0

@@ -37,7 +37,9 @@ Each training iteration: generate batch -> sequence_bptt -> optimizer
 steps for ordinary weights and the readout -> for every weight in
 ortho_set, grad_pullback then a Neumann (or exact-inverse) step -> emit a
 MetricRow. A non-finite loss or gradient ends the run with one structured
-row (train_loss = nan) and status "numeric_error" instead of a crash.
+row (train_loss = nan) and status "numeric_error" instead of a crash; such
+a run writes no checkpoint, because the abort can come after some weights
+of the iteration were already updated.
 
 The metrics CSV must be byte-identical across reruns of the same config
 and seed, so its wall_ms column is pinned to 0; measured per-iteration
@@ -49,7 +51,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +140,6 @@ class TaskSection:
 
 
 _VARIANT_ALIASES = {"gru": "gru", "nc-gru": "ncgru", "ncgru": "ncgru"}
-_ORTHO_ALIASES = {"u_r": "u_r", "u_u": "u_u", "u_c": "u_c"}
 
 
 @dataclass
@@ -169,9 +170,9 @@ class ModelSection:
             canon = []
             for item in raw:
                 key = str(item).lower()
-                if key not in _ORTHO_ALIASES:
+                if key not in _ORTHO_ORDER:
                     raise ConfigError(f"model.ortho_set entry {item!r} is not one of U_r, U_u, U_c")
-                canon.append(_ORTHO_ALIASES[key])
+                canon.append(key)
             if len(set(canon)) != len(canon):
                 raise ConfigError("model.ortho_set has duplicate entries")
             ortho = tuple(name for name in _ORTHO_ORDER if name in canon)
@@ -285,14 +286,11 @@ class ExperimentConfig:
         output = blob.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a directory path string")
-        cfg = cls(task=TaskSection.from_dict(blob["task"]),
-                  model=ModelSection.from_dict(blob["model"]),
-                  optimizer=OptimizerSection.from_dict(blob["optimizer"]),
-                  train=TrainSection.from_dict(blob["train"]),
-                  output=output)
-        if cfg.model.num_neg is not None and cfg.model.num_neg > cfg.model.hidden:
-            raise ConfigError("model.num_neg exceeds model.hidden")
-        return cfg
+        return cls(task=TaskSection.from_dict(blob["task"]),
+                   model=ModelSection.from_dict(blob["model"]),
+                   optimizer=OptimizerSection.from_dict(blob["optimizer"]),
+                   train=TrainSection.from_dict(blob["train"]),
+                   output=output)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -316,8 +314,8 @@ class ExperimentConfig:
 
 
 class LinearReadoutMse:
-    """y = W h_T + b on the final state; loss is the squared error summed
-    over output entries and averaged over the batch."""
+    """y = W h_T + b on the final (n, B) state; loss is the squared error
+    summed over output entries and averaged over the batch."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray):
         self.w = w
@@ -327,9 +325,7 @@ class LinearReadoutMse:
         self.grad_b = np.zeros_like(b)
 
     def loss_and_grads(self, hs):
-        h_last = hs[-1]
-        squeeze = h_last.ndim == 1
-        h = h_last[:, None] if squeeze else h_last
+        h = hs[-1]
         y = self.w @ h + self.b[:, None]
         diff = y - self.targets
         batch = h.shape[1]
@@ -337,15 +333,15 @@ class LinearReadoutMse:
         g_y = 2.0 * diff / batch
         self.grad_w = g_y @ h.T
         self.grad_b = np.sum(g_y, axis=1)
-        g_h = self.w.T @ g_y
         grads = [None] * len(hs)
-        grads[-1] = g_h[:, 0] if squeeze else g_h
+        grads[-1] = self.w.T @ g_y
         return loss, grads
 
 
 class SoftmaxReadoutXent:
-    """Per-step softmax cross-entropy through a shared linear readout,
-    averaged over batch and steps (final step only when final_only)."""
+    """Per-step softmax cross-entropy of (n, B) states through a shared
+    linear readout, averaged over batch and steps (final step only when
+    final_only)."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray,
                  final_only: bool = False):
@@ -372,9 +368,7 @@ class SoftmaxReadoutXent:
             if self.final_only and t != steps - 1:
                 continue
             h = hs[t]
-            squeeze = h.ndim == 1
-            hcol = h[:, None] if squeeze else h
-            logits = self.w @ hcol + self.b[:, None]
+            logits = self.w @ h + self.b[:, None]
             logits -= np.max(logits, axis=0, keepdims=True)
             logz = np.log(np.sum(np.exp(logits), axis=0))
             tgt = self.targets[:, t]
@@ -382,10 +376,9 @@ class SoftmaxReadoutXent:
             probs = np.exp(logits - logz[None, :])
             probs[tgt, cols] -= 1.0
             probs /= denom
-            self.grad_w += probs @ hcol.T
+            self.grad_w += probs @ h.T
             self.grad_b += np.sum(probs, axis=1)
-            g_h = self.w.T @ probs
-            grads[t] = g_h[:, 0] if squeeze else g_h
+            grads[t] = self.w.T @ probs
         return loss / denom, grads
 
 
@@ -405,7 +398,7 @@ def build_model(cfg: ExperimentConfig) -> Model:
     in_dim, out_dim = cfg.task.dims()
     m = cfg.model
     seed = cfg.train.seed
-    params = CellParams.init(m.variant, m.hidden, in_dim, seed, ortho_set=m.ortho_set)
+    params = CellParams.init(m.variant, m.hidden, in_dim, seed)
     skews = {}
     for name in m.ortho_set:
         skew = SkewOrthogonal.create(
@@ -562,9 +555,14 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
         with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
             json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        run.checkpoint_path = os.path.join(out_dir, "checkpoint.json")
-        save_checkpoint(run.checkpoint_path, cfg, model, opt, opt_a,
-                        step=len(metrics) if status == "completed" else metrics[-1].step)
+        checkpoint_path = os.path.join(out_dir, "checkpoint.json")
+        if status == "completed":
+            run.checkpoint_path = checkpoint_path
+            save_checkpoint(checkpoint_path, cfg, model, opt, opt_a, step=len(metrics))
+        elif os.path.exists(checkpoint_path):
+            # A numeric abort can strike mid-update, so its state is not
+            # saved; a checkpoint of an earlier run would not match metrics.csv.
+            os.remove(checkpoint_path)
     return run
 
 
@@ -825,6 +823,8 @@ def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> Gr
     (tol 1e-6); "cell" checks one-step backward passes and "bptt" the full
     unrolled sequence (tol 1e-5), both on kink-free instances.
     """
+    if instances is not None and instances < 1:
+        raise ContractError(f"instances must be >= 1, got {instances}")
     if scope == "cayley":
         errs = _gradcheck_cayley(seed, instances or 20)
         tol = 1e-6

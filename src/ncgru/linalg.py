@@ -43,15 +43,6 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _require_matrix(a, "left operand")
-    b = _require_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return ensure_finite(a @ b, "matmul result")
-
-
 def exact_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix via LU with partial pivoting.
 

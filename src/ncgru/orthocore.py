@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericError, ShapeError
+from .errors import ConvergenceError, ShapeError
 from .linalg import ensure_finite, exact_inverse, fro_dist_identity, spectral_norm
 
 logger = logging.getLogger(__name__)
@@ -203,28 +203,33 @@ class SkewOrthogonal:
         v = self.a_tilde.T @ grad_u @ m
         return v.T - v
 
-    def _apply_delta(self, delta_a: np.ndarray) -> np.ndarray:
+    def _apply_delta(self, delta_a: np.ndarray) -> tuple[np.ndarray, float]:
+        """Start of both steps: validate delta_a, measure ||E||_2 for
+        E = a_tilde @ delta_a, apply A <- A - delta_a and count the step.
+        Returns (E, ||E||_2); a_tilde and u are left to the caller."""
         delta_a = check_skew(delta_a, "delta_a")
         if delta_a.shape != self.a.shape:
             raise ShapeError(f"delta shape {delta_a.shape} does not match parameter {self.a.shape}")
         ensure_finite(delta_a, "delta_a")
-        return delta_a
-
-    def neumann_step(self, delta_a: np.ndarray) -> NeumannDiagnostics:
-        """Apply A <- A - delta_a and advance the cached inverse by the
-        order-p truncated Neumann series. Returns diagnostics."""
-        delta_a = self._apply_delta(delta_a)
         e = self.a_tilde @ delta_a
         try:
             contraction = spectral_norm(e, tol=_DIAG_TOL)
         except ConvergenceError as err:
             contraction = err.estimate
+        self.a = self.a - delta_a
+        self.step += 1
+        self.steps_since_reset += 1
+        return e, contraction
+
+    def neumann_step(self, delta_a: np.ndarray) -> NeumannDiagnostics:
+        """Apply A <- A - delta_a and advance the cached inverse by the
+        order-p truncated Neumann series. Returns diagnostics."""
+        e, contraction = self._apply_delta(delta_a)
         if contraction >= 1.0:
             logger.warning(
                 "Neumann contraction norm %.3f >= 1 at step %d; series no longer converges",
-                contraction, self.step + 1,
+                contraction, self.step,
             )
-        self.a = self.a - delta_a
         acc = self.a_tilde.copy()
         term = self.a_tilde
         for _ in range(self.neumann_order):
@@ -232,8 +237,6 @@ class SkewOrthogonal:
             acc += term
         self.a_tilde = acc
         ensure_finite(self.a_tilde, "a_tilde after Neumann update")
-        self.step += 1
-        self.steps_since_reset += 1
         if self.reset_every > 0 and self.steps_since_reset >= self.reset_every:
             self.reset()
         else:
@@ -244,13 +247,7 @@ class SkewOrthogonal:
     def exact_step(self, delta_a: np.ndarray) -> NeumannDiagnostics:
         """Apply A <- A - delta_a with a fresh exact inverse (the ablation
         reference arm). Diagnostics mirror neumann_step."""
-        delta_a = self._apply_delta(delta_a)
-        try:
-            contraction = spectral_norm(self.a_tilde @ delta_a, tol=_DIAG_TOL)
-        except ConvergenceError as err:
-            contraction = err.estimate
-        self.a = self.a - delta_a
-        self.step += 1
+        _, contraction = self._apply_delta(delta_a)
         self.reset()
         return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(), step=self.step)
 

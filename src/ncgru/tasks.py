@@ -298,12 +298,3 @@ def dump_jsonl(batch: TaskBatch, path) -> int:
                    "input": batch.inputs[i].tolist(), "target": target}
             fh.write(json.dumps(rec) + "\n")
     return batch.batch_size
-
-
-def iter_jsonl(path):
-    """Yield the records dump_jsonl wrote."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

@@ -251,7 +251,7 @@ def test_c07_corollary_envelopes_and_saturation(bound_ensemble):
         summary = saturation_sweep(p, regime, samples=100, seed=73)
         assert summary.max_alpha_plus_beta <= 1.05, (regime, summary.max_alpha_plus_beta)
 
-    pn = CellParams.init("ncgru", 16, 6, seed=74, ortho_set=("u_r", "u_c"))
+    pn = CellParams.init("ncgru", 16, 6, seed=74)
     for i, name in enumerate(("u_r", "u_c")):
         setattr(pn, name, SkewOrthogonal.create(16, seed=75 + i).u.copy())
     sat = saturation_sweep(pn, "mixed", samples=100, seed=76)

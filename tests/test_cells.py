@@ -15,10 +15,8 @@ from ncgru.cells import (
     StepCache,
     cell_backward,
     cell_forward,
-    gru_forward,
     jacobian_h,
     modrelu,
-    ncgru_forward,
     sequence_bptt,
     sequence_forward,
     sigmoid,
@@ -134,19 +132,6 @@ def test_gru_state_stays_inside_unit_box():
     hs = sequence_forward(p, xs)
     peak = max(float(np.max(np.abs(h))) for h in hs)
     assert peak <= 1.0
-
-
-def test_variants_guarded():
-    pg = CellParams.init("gru", 3, 2, seed=0)
-    pn = CellParams.init("ncgru", 3, 2, seed=0)
-    x = np.zeros(2)
-    h = np.zeros(3)
-    gru_forward(pg, x, h)
-    ncgru_forward(pn, x, h)
-    with pytest.raises(ContractError):
-        gru_forward(pn, x, h)
-    with pytest.raises(ContractError):
-        ncgru_forward(pg, x, h)
 
 
 def test_forward_shape_errors():
@@ -387,5 +372,3 @@ def test_jacobian_rejects_batched_cache():
 def test_init_rejects_unknown_variant_and_ortho_name():
     with pytest.raises(ContractError):
         CellParams.init("lstm", 4, 3, seed=0)
-    with pytest.raises(ContractError):
-        CellParams.init("ncgru", 4, 3, seed=0, ortho_set=("u_q",))

@@ -223,6 +223,30 @@ def test_run_numeric_error_aborts_with_structured_row():
     assert last.step <= cfg.train.iterations
 
 
+def test_numeric_abort_writes_no_checkpoint(tmp_path, capsys):
+    # The abort strikes inside an iteration after some weights were already
+    # updated, so no checkpoint may be written; one left by an earlier run in
+    # the same directory would not match the new metrics.csv either.
+    out = tmp_path / "out"
+    run_training(ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG)), out_dir=str(out))
+    assert (out / "checkpoint.json").exists()
+    blob = make_cfg(**{"optimizer.lr": 1e8})
+    run = run_training(ExperimentConfig.from_dict(blob), out_dir=str(out))
+    assert run.status == "numeric_error"
+    assert run.checkpoint_path is None
+    assert not (out / "checkpoint.json").exists()
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert np.isnan(rows[-1].train_loss)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "metrics:" in printed
+    assert "checkpoint:" not in printed
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run = run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -308,6 +332,8 @@ def test_gradcheck_scopes_pass():
         assert rep.max_rel_err < tol
     with pytest.raises(ContractError):
         run_gradcheck("everything")
+    with pytest.raises(ContractError):
+        run_gradcheck("cayley", instances=0)
 
 
 def test_count_params_closed_form():
@@ -385,3 +411,21 @@ def test_cli_gen(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert sum(1 for _ in open(out)) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--task", "adding", "--T", "1", "--count", "4"],
+    ["gen", "--task", "copying", "--T", "5", "--count", "0"],
+    ["gradcheck", "--scope", "cayley", "--instances", "-1"],
+    ["gradcheck", "--scope", "cayley", "--instances", "0"],
+])
+def test_cli_invalid_gen_and_gradcheck_input_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "samples.jsonl"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not out.exists()

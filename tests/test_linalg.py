@@ -1,7 +1,7 @@
 """Dense linear algebra kernel tests.
 
-Oracles: a triple-loop matmul, scipy eigenvalues for spectral norms, and
-hand-computed small inverses.
+Oracles: scipy eigenvalues for spectral norms and hand-computed small
+inverses.
 """
 
 import numpy as np
@@ -13,56 +13,8 @@ from ncgru.linalg import (
     ensure_finite,
     exact_inverse,
     fro_dist_identity,
-    matmul,
     spectral_norm,
 )
-
-
-def loop_matmul(a, b):
-    """Reference product with explicit index loops."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-def test_matmul_matches_loop_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        a = rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 3))
-        got = matmul(a, b)
-        want = loop_matmul(a, b)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_matmul_associative():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(5, 5))
-    b = rng.normal(size=(5, 5))
-    c = rng.normal(size=(5, 5))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.max(np.abs(left - right)) < 1e-10
-
-
-def test_matmul_rejects_inner_dim_mismatch():
-    a = np.zeros((3, 4))
-    b = np.zeros((5, 2))
-    with pytest.raises(ShapeError):
-        matmul(a, b)
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 3)))
 
 
 def test_exact_inverse_hand_2x2():

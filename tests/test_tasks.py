@@ -1,5 +1,7 @@
 """Task generator tests: structure, target oracles, baselines, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from ncgru.tasks import (
     gen_copying,
     gen_denoise,
     gen_parenthesis,
-    iter_jsonl,
     make_batch,
     memoryless_copying_xent,
     task_dims,
@@ -236,7 +237,7 @@ def test_jsonl_round_trip(tmp_path):
     batch = gen_adding(T=6, batch=3, seed=10)
     n = dump_jsonl(batch, path)
     assert n == 3
-    records = list(iter_jsonl(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == 3
     for i, rec in enumerate(records):
         assert rec["task"] == "adding"
@@ -248,7 +249,7 @@ def test_jsonl_round_trip(tmp_path):
     path2 = tmp_path / "copying.jsonl"
     cb = gen_copying(T=5, batch=2, seed=11)
     dump_jsonl(cb, path2)
-    recs = list(iter_jsonl(path2))
+    recs = [json.loads(line) for line in path2.read_text().splitlines()]
     for i, rec in enumerate(recs):
         assert rec["target"] == [int(v) for v in cb.targets[i]]
         assert np.array_equal(np.array(rec["input"]), cb.inputs[i])
