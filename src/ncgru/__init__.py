@@ -12,9 +12,8 @@ from .cells import (BpttResult, CellParams, FinalStateMse, StepCache, cell_backw
                     cell_forward, jacobian_h, modrelu, sequence_bptt, sequence_forward)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
-from .harness import (ExperimentConfig, Model, RunResult, build_model, count_params,
-                      load_checkpoint, match_hidden, run_ablation, run_gradcheck,
-                      run_training, save_checkpoint)
+from .harness import (ExperimentConfig, Model, RunResult, build_model, load_checkpoint,
+                      run_ablation, run_gradcheck, run_training, save_checkpoint)
 from .linalg import exact_inverse, fro_dist_identity, spectral_norm
 from .optim import Optimizer
 from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
@@ -32,9 +31,8 @@ __all__ = [
     "sequence_bptt", "sequence_forward",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
     "NumericError", "ShapeError", "SingularMatrixError",
-    "ExperimentConfig", "Model", "RunResult", "build_model", "count_params",
-    "load_checkpoint", "match_hidden", "run_ablation", "run_gradcheck",
-    "run_training", "save_checkpoint",
+    "ExperimentConfig", "Model", "RunResult", "build_model", "load_checkpoint",
+    "run_ablation", "run_gradcheck", "run_training", "save_checkpoint",
     "exact_inverse", "fro_dist_identity", "spectral_norm",
     "Optimizer",
     "NeumannDiagnostics", "SkewOrthogonal", "cayley_transform", "init_skew",

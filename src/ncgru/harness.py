@@ -2,30 +2,35 @@
 orthogonal-weight update interleaved, ablations, finite-difference
 gradient checks, metric CSVs, and JSON checkpoints.
 
-Config schema (JSON, unknown keys anywhere are errors):
+Config schema (JSON; unknown keys and values of the wrong JSON type are
+errors: an int is never a bool or a float, a float must be finite):
 
     {
       "task":      {"name": "adding" | "copying" | "parenthesis" | "denoise",
-                    "T": int,
-                    "alphabet_n": int    (denoise only),
-                    "n_pairs": int       (parenthesis only),
-                    "final_only": bool   (parenthesis only)},
+                    "T": int             (>= 2 adding, >= 11 denoise, else >= 1),
+                    "alphabet_n": int    (denoise only; >= 2, default 10),
+                    "n_pairs": int       (parenthesis only; 1..10, default 10),
+                    "final_only": bool   (parenthesis only; default false)},
       "model":     {"variant": "GRU" | "NC-GRU",
-                    "hidden": int,
+                    "hidden": int        (>= 2),
                     "ortho_set": ["U_r", "U_u", "U_c"] subset (NC-GRU only;
                                  default ["U_r", "U_c"]),
-                    "num_neg": int       (default hidden // 2),
-                    "neumann_order": 1 | 2 | 3,
-                    "reset_every": int   (0 disables resets),
-                    "exact_inverse_mode": bool},
+                    "num_neg": int       (0..hidden; default hidden // 2),
+                    "neumann_order": 1 | 2 | 3   (default 2),
+                    "reset_every": int   (>= 0, 0 disables resets; default 50),
+                    "exact_inverse_mode": bool   (default false)},
       "optimizer": {"kind": "sgd" | "rmsprop" | "adam",
-                    "lr": float,
-                    "lr_A": float        (default lr)},
-      "train":     {"iterations": int, "batch_size": int, "seed": int,
-                    "eval_every": int (default 50),
-                    "eval_batch_size": int (default batch_size)},
+                    "lr": float > 0,
+                    "lr_A": float > 0    (default lr)},
+      "train":     {"iterations": int >= 0, "batch_size": int >= 1,
+                    "seed": int >= 0, "eval_every": int >= 1 (default 50),
+                    "eval_batch_size": int >= 1 (default batch_size)},
       "output":    "directory"           (optional)
     }
+
+The section dataclasses check these rules on construction, so a config
+changed with dataclasses.replace (the seed override, the ablation arms)
+raises ConfigError just like a bad file.
 
 Seeding layout, all derived from train.seed: cell weights use seed, the
 orthogonal states seed+101/102/103 (u_r/u_u/u_c), the readout seed+104,
@@ -50,8 +55,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,8 +65,8 @@ from . import tasks
 from .cells import (CellParams, FinalStateMse, cell_backward, cell_forward,
                     sequence_bptt, sequence_forward)
 from .errors import ConfigError, ContractError, NumericError
-from .optim import Optimizer
-from .orthocore import SkewOrthogonal, cayley_transform
+from .optim import _KINDS, Optimizer
+from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
 from .tasks import TaskBatch, make_batch, task_dims
 
 _ORTHO_ORDER = ("u_r", "u_u", "u_c")
@@ -82,14 +88,64 @@ def _check_keys(blob: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _require(blob: dict, key: str, where: str):
-    if key not in blob:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return blob[key]
+# field annotation -> (what the JSON value must be, test, conversion)
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "float": ("a finite number", lambda v: isinstance(v, (int, float))
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max, float),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(item, str) for item in v), tuple),
+}
+
+
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+class _Section:
+    """Base of the config sections, dataclasses whose fields are the JSON
+    keys. Each __post_init__ runs _check_types and then the range checks, so
+    a section made by replace() is checked like one read by from_dict."""
+
+    @classmethod
+    def _where(cls) -> str:
+        return cls.__name__.removesuffix("Section").lower()
+
+    @classmethod
+    def from_dict(cls, blob: dict):
+        """Unknown keys and missing required ones are errors; an absent
+        optional key takes the field default."""
+        by_key = {_key(f): f for f in fields(cls)}
+        _check_keys(blob, tuple(by_key), cls._where())
+        for key, f in by_key.items():
+            if key not in blob and f.default is MISSING:
+                raise ConfigError(f"missing required key {key!r} in {cls._where()}")
+        return cls(**{by_key[key].name: value for key, value in blob.items()})
+
+    def _check_types(self) -> None:
+        """Check each field against its annotation and store it converted:
+        an int is never a bool, a float is finite (an int that fits widens
+        to it), and None passes only where the annotation allows it."""
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            what, ok, convert = _FIELD_TYPES[kind]
+            if not ok(value):
+                raise ConfigError(f"{self._where()}.{_key(f)} must be {what}, got {value!r}")
+            setattr(self, f.name, convert(value))
+
+    def to_dict(self) -> dict:
+        """The JSON object from_dict reads back, keys in field order; None
+        fields are left out."""
+        return {_key(f): getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 @dataclass
-class TaskSection:
+class TaskSection(_Section):
     name: str
     T: int
     alphabet_n: int = tasks.DENOISE_ALPHABET
@@ -98,26 +154,21 @@ class TaskSection:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "TaskSection":
-        _check_keys(blob, ("name", "T", "alphabet_n", "n_pairs", "final_only"), "task")
-        name = str(_require(blob, "name", "task"))
-        if name not in tasks.TASK_NAMES:
-            raise ConfigError(f"task.name must be one of {tasks.TASK_NAMES}, got {name!r}")
-        if "alphabet_n" in blob and name != "denoise":
+        if "alphabet_n" in blob and blob.get("name") != "denoise":
             raise ConfigError("task.alphabet_n only applies to the denoise task")
-        if ("n_pairs" in blob or "final_only" in blob) and name != "parenthesis":
+        if ("n_pairs" in blob or "final_only" in blob) and blob.get("name") != "parenthesis":
             raise ConfigError("task.n_pairs / task.final_only only apply to the parenthesis task")
-        sec = cls(name=name, T=int(_require(blob, "T", "task")),
-                  alphabet_n=int(blob.get("alphabet_n", tasks.DENOISE_ALPHABET)),
-                  n_pairs=int(blob.get("n_pairs", tasks.PARENTHESIS_PAIRS)),
-                  final_only=bool(blob.get("final_only", False)))
-        min_t = {"adding": 2, "copying": 1, "parenthesis": 1, "denoise": 11}[name]
-        if sec.T < min_t:
-            raise ConfigError(f"task {name!r} needs T >= {min_t}, got {sec.T}")
-        if not 1 <= sec.n_pairs <= tasks.PARENTHESIS_PAIRS:
-            raise ConfigError(f"task.n_pairs must be in [1, {tasks.PARENTHESIS_PAIRS}]")
-        if sec.alphabet_n < 2:
-            raise ConfigError("task.alphabet_n must be >= 2")
-        return sec
+        return super().from_dict(blob)
+
+    def __post_init__(self):
+        self._check_types()
+        if self.name not in tasks.TASK_NAMES:
+            raise ConfigError(f"task.name must be one of {tasks.TASK_NAMES}, got {self.name!r}")
+        try:   # the generators own the size rules
+            tasks._check_request(self.name, self.T, n_pairs=self.n_pairs,
+                                 alphabet_n=self.alphabet_n)
+        except ContractError as err:
+            raise ConfigError(f"task: {err}") from err
 
     def generator_kwargs(self) -> dict:
         if self.name == "denoise":
@@ -130,139 +181,82 @@ class TaskSection:
         return task_dims(self.name, alphabet_n=self.alphabet_n, n_pairs=self.n_pairs)
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "T": self.T}
-        if self.name == "denoise":
-            out["alphabet_n"] = self.alphabet_n
-        if self.name == "parenthesis":
-            out["n_pairs"] = self.n_pairs
-            out["final_only"] = self.final_only
-        return out
+        return {"name": self.name, "T": self.T, **self.generator_kwargs()}
 
 
 _VARIANT_ALIASES = {"gru": "gru", "nc-gru": "ncgru", "ncgru": "ncgru"}
 
 
 @dataclass
-class ModelSection:
+class ModelSection(_Section):
     variant: str
     hidden: int
-    ortho_set: tuple[str, ...]
-    num_neg: int | None = None
+    ortho_set: tuple[str, ...] | None = None   # None: the variant's default
     neumann_order: int = 2
     reset_every: int = 50
     exact_inverse_mode: bool = False
+    num_neg: int | None = None
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "ModelSection":
-        _check_keys(blob, ("variant", "hidden", "ortho_set", "num_neg",
-                           "neumann_order", "reset_every", "exact_inverse_mode"), "model")
-        raw_variant = str(_require(blob, "variant", "model")).lower()
-        if raw_variant not in _VARIANT_ALIASES:
-            raise ConfigError(f"model.variant must be GRU or NC-GRU, got {blob['variant']!r}")
-        variant = _VARIANT_ALIASES[raw_variant]
-        hidden = int(_require(blob, "hidden", "model"))
-        if hidden < 2:
-            raise ConfigError(f"model.hidden must be >= 2, got {hidden}")
-        if "ortho_set" in blob:
-            raw = blob["ortho_set"]
-            if not isinstance(raw, (list, tuple)):
-                raise ConfigError("model.ortho_set must be a list of weight names")
-            canon = []
-            for item in raw:
-                key = str(item).lower()
-                if key not in _ORTHO_ORDER:
-                    raise ConfigError(f"model.ortho_set entry {item!r} is not one of U_r, U_u, U_c")
-                canon.append(key)
-            if len(set(canon)) != len(canon):
-                raise ConfigError("model.ortho_set has duplicate entries")
-            ortho = tuple(name for name in _ORTHO_ORDER if name in canon)
-        else:
-            ortho = ("u_r", "u_c") if variant == "ncgru" else ()
-        if variant == "gru" and ortho:
+    def __post_init__(self):
+        self._check_types()
+        variant = _VARIANT_ALIASES.get(self.variant.lower())
+        if variant is None:
+            raise ConfigError(f"model.variant must be GRU or NC-GRU, got {self.variant!r}")
+        self.variant = variant
+        if self.hidden < 2:
+            raise ConfigError(f"model.hidden must be >= 2, got {self.hidden}")
+        if self.ortho_set is None:
+            self.ortho_set = ("u_r", "u_c") if variant == "ncgru" else ()
+        canon = [item.lower() for item in self.ortho_set]
+        if not set(canon) <= set(_ORTHO_ORDER) or len(set(canon)) != len(canon):
+            raise ConfigError("model.ortho_set must list distinct names out of U_r, U_u, U_c, "
+                              f"got {list(self.ortho_set)}")
+        self.ortho_set = tuple(name for name in _ORTHO_ORDER if name in canon)
+        if variant == "gru" and self.ortho_set:
             raise ConfigError("model.ortho_set applies to the NC-GRU variant only")
-        sec = cls(variant=variant, hidden=hidden, ortho_set=ortho,
-                  num_neg=int(blob["num_neg"]) if "num_neg" in blob else None,
-                  neumann_order=int(blob.get("neumann_order", 2)),
-                  reset_every=int(blob.get("reset_every", 50)),
-                  exact_inverse_mode=bool(blob.get("exact_inverse_mode", False)))
-        if sec.neumann_order not in (1, 2, 3):
-            raise ConfigError(f"model.neumann_order must be 1, 2 or 3, got {sec.neumann_order}")
-        if sec.reset_every < 0:
-            raise ConfigError(f"model.reset_every must be >= 0, got {sec.reset_every}")
-        if sec.num_neg is not None and not 0 <= sec.num_neg <= hidden:
-            raise ConfigError(f"model.num_neg must be in [0, {hidden}], got {sec.num_neg}")
-        return sec
+        if self.neumann_order not in _VALID_ORDERS:
+            raise ConfigError(f"model.neumann_order must be one of {_VALID_ORDERS}, "
+                              f"got {self.neumann_order}")
+        if self.reset_every < 0:
+            raise ConfigError(f"model.reset_every must be >= 0, got {self.reset_every}")
+        if self.num_neg is not None and not 0 <= self.num_neg <= self.hidden:
+            raise ConfigError(f"model.num_neg must be in [0, {self.hidden}], got {self.num_neg}")
 
     def to_dict(self) -> dict:
-        out = {"variant": "NC-GRU" if self.variant == "ncgru" else "GRU",
-               "hidden": self.hidden,
-               "ortho_set": [name.replace("u_", "U_") for name in self.ortho_set],
-               "neumann_order": self.neumann_order,
-               "reset_every": self.reset_every,
-               "exact_inverse_mode": self.exact_inverse_mode}
-        if self.num_neg is not None:
-            out["num_neg"] = self.num_neg
-        return out
+        return {**super().to_dict(), "variant": "NC-GRU" if self.variant == "ncgru" else "GRU",
+                "ortho_set": [name.replace("u_", "U_") for name in self.ortho_set]}
 
 
 @dataclass
-class OptimizerSection:
+class OptimizerSection(_Section):
     kind: str
     lr: float
-    lr_a: float | None = None
+    lr_a: float | None = field(default=None, metadata={"key": "lr_A"})
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "OptimizerSection":
-        _check_keys(blob, ("kind", "lr", "lr_A"), "optimizer")
-        kind = str(_require(blob, "kind", "optimizer")).lower()
-        if kind not in ("sgd", "rmsprop", "adam"):
-            raise ConfigError(f"optimizer.kind must be sgd, rmsprop or adam, got {blob['kind']!r}")
-        lr = float(_require(blob, "lr", "optimizer"))
-        lr_a = float(blob["lr_A"]) if "lr_A" in blob else None
-        if lr <= 0 or (lr_a is not None and lr_a <= 0):
+    def __post_init__(self):
+        self._check_types()
+        self.kind = self.kind.lower()
+        if self.kind not in _KINDS:
+            raise ConfigError(f"optimizer.kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.lr <= 0 or (self.lr_a is not None and self.lr_a <= 0):
             raise ConfigError("learning rates must be positive")
-        return cls(kind=kind, lr=lr, lr_a=lr_a)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "lr": self.lr}
-        if self.lr_a is not None:
-            out["lr_A"] = self.lr_a
-        return out
 
 
 @dataclass
-class TrainSection:
+class TrainSection(_Section):
     iterations: int
     batch_size: int
     seed: int
     eval_every: int = 50
     eval_batch_size: int | None = None
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "TrainSection":
-        _check_keys(blob, ("iterations", "batch_size", "seed", "eval_every",
-                           "eval_batch_size"), "train")
-        sec = cls(iterations=int(_require(blob, "iterations", "train")),
-                  batch_size=int(_require(blob, "batch_size", "train")),
-                  seed=int(_require(blob, "seed", "train")),
-                  eval_every=int(blob.get("eval_every", 50)),
-                  eval_batch_size=int(blob["eval_batch_size"]) if "eval_batch_size" in blob else None)
-        if sec.iterations < 0:
-            raise ConfigError(f"train.iterations must be >= 0, got {sec.iterations}")
-        if sec.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {sec.batch_size}")
-        if sec.eval_every < 1:
-            raise ConfigError(f"train.eval_every must be >= 1, got {sec.eval_every}")
-        if sec.eval_batch_size is not None and sec.eval_batch_size < 1:
-            raise ConfigError("train.eval_batch_size must be >= 1")
-        return sec
-
-    def to_dict(self) -> dict:
-        out = {"iterations": self.iterations, "batch_size": self.batch_size,
-               "seed": self.seed, "eval_every": self.eval_every}
-        if self.eval_batch_size is not None:
-            out["eval_batch_size"] = self.eval_batch_size
-        return out
+    def __post_init__(self):
+        self._check_types()
+        for key, low in (("iterations", 0), ("batch_size", 1), ("seed", 0), ("eval_every", 1),
+                         ("eval_batch_size", 1)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ConfigError(f"train.{key} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -277,8 +271,10 @@ class ExperimentConfig:
     def from_dict(cls, blob: dict) -> "ExperimentConfig":
         if not isinstance(blob, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_keys(blob, ("task", "model", "optimizer", "train", "output"), "config root")
-        for section in ("task", "model", "optimizer", "train"):
+        sections = {"task": TaskSection, "model": ModelSection,
+                    "optimizer": OptimizerSection, "train": TrainSection}
+        _check_keys(blob, (*sections, "output"), "config root")
+        for section in sections:
             if section not in blob:
                 raise ConfigError(f"missing required section {section!r}")
             if not isinstance(blob[section], dict):
@@ -286,10 +282,7 @@ class ExperimentConfig:
         output = blob.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a directory path string")
-        return cls(task=TaskSection.from_dict(blob["task"]),
-                   model=ModelSection.from_dict(blob["model"]),
-                   optimizer=OptimizerSection.from_dict(blob["optimizer"]),
-                   train=TrainSection.from_dict(blob["train"]),
+        return cls(**{name: kind.from_dict(blob[name]) for name, kind in sections.items()},
                    output=output)
 
     @classmethod
@@ -297,8 +290,8 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 blob = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ConfigError(f"config {path} is not valid UTF-8 JSON: {err}") from err
         return cls.from_dict(blob)
 
     def to_dict(self) -> dict:
@@ -598,12 +591,14 @@ def save_checkpoint(path, cfg: ExperimentConfig, model: Model,
                     opt: Optimizer, opt_a: Optimizer | None, step: int) -> None:
     """JSON snapshot of everything a run mutates. Floats go through
     Python's shortest round-trip repr, so load -> save reproduces the
-    file byte for byte."""
+    file byte for byte. An orthogonal weight is stored once, as its skew
+    state; load_checkpoint rebuilds it from there bit for bit."""
     blob = {
         "format": "ncgru-checkpoint-v1",
         "step": step,
         "config": cfg.to_dict(),
-        "params": {name: arr.tolist() for name, arr in model.params.named_arrays()},
+        "params": {name: arr.tolist() for name, arr in model.params.named_arrays()
+                   if name not in model.skews},
         "skews": {name: skew.to_dict() for name, skew in model.skews.items()},
         "readout": {"w": model.readout_w.tolist(), "b": model.readout_b.tolist()},
         "optimizer": opt.to_dict(),
@@ -633,6 +628,8 @@ def load_checkpoint(path) -> Checkpoint:
     for name, arr in blob["params"].items():
         setattr(model.params, name, np.asarray(arr, dtype=np.float64))
     model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
+    # files written before the orthogonal weights left "params" list them
+    # there too; the skew state is authoritative either way
     for name, skew in model.skews.items():
         setattr(model.params, name, skew.u)
     model.readout_w = np.asarray(blob["readout"]["w"], dtype=np.float64)
@@ -674,8 +671,7 @@ def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
                 for p in (1, 2, 3)]
         arms.append(("exact", replace(cfg, model=replace(cfg.model, exact_inverse_mode=True))))
     elif mode == "ortho-placement":
-        if cfg.model.variant != "ncgru":
-            raise ContractError("ortho-placement ablation needs an NC-GRU config")
+        # a GRU config fails here: ModelSection rejects an ortho_set on GRU
         placements = [("uc", ("u_c",)), ("ur_uc", ("u_r", "u_c")),
                       ("ur_uu_uc", ("u_r", "u_u", "u_c"))]
         arms = [(label, replace(cfg, model=replace(cfg.model, ortho_set=ortho)))
@@ -738,19 +734,12 @@ def _gradcheck_cayley(seed: int, instances: int) -> dict:
         n = int(rng.integers(2, 9))
         skew = SkewOrthogonal.create(n, seed + 2000 + i)
         c = rng.standard_normal((n, n))
-        analytic = skew.grad_pullback(c)
-        fd = np.zeros_like(analytic)
-        eps = 1e-6
-        for r in range(n):
-            for s in range(r + 1, n):
-                def val(sign):
-                    a = skew.a.copy()
-                    a[r, s] += sign * eps
-                    a[s, r] -= sign * eps
-                    return float(np.sum(c * cayley_transform(a, skew.d)))
-                fd[r, s] = (val(+1.0) - val(-1.0)) / (2.0 * eps)
-                fd[s, r] = -fd[r, s]
-        errs[f"cayley_n{n}_i{i}"] = _rel_err(analytic, fd)
+        # A = S - S^T is skew for every S, so perturbing one entry of S
+        # perturbs A[r, s] and A[s, r] in opposite directions. S is the
+        # strict upper triangle of A, which makes S - S^T equal A exactly.
+        s = np.triu(skew.a, 1)
+        fd = _fd_grad(lambda: float(np.sum(c * cayley_transform(s - s.T, skew.d))), s)
+        errs[f"cayley_n{n}_i{i}"] = _rel_err(skew.grad_pullback(c), fd)
     return errs
 
 
@@ -816,6 +805,11 @@ def _gradcheck_bptt(seed: int, instances: int, length: int = 5) -> dict:
     return errs
 
 
+# scope -> (check, default instance count, tolerance)
+_GRADCHECKS = {"cayley": (_gradcheck_cayley, 20, 1e-6), "cell": (_gradcheck_cell, 8, 1e-5),
+               "bptt": (_gradcheck_bptt, 4, 1e-5)}
+
+
 def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> GradcheckReport:
     """Finite-difference check of one analytic-gradient surface.
 
@@ -825,50 +819,10 @@ def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> Gr
     """
     if instances is not None and instances < 1:
         raise ContractError(f"instances must be >= 1, got {instances}")
-    if scope == "cayley":
-        errs = _gradcheck_cayley(seed, instances or 20)
-        tol = 1e-6
-    elif scope == "cell":
-        errs = _gradcheck_cell(seed, instances or 8)
-        tol = 1e-5
-    elif scope == "bptt":
-        errs = _gradcheck_bptt(seed, instances or 4)
-        tol = 1e-5
-    else:
+    if scope not in _GRADCHECKS:
         raise ContractError(f"unknown gradcheck scope {scope!r}")
+    check, default_instances, tol = _GRADCHECKS[scope]
+    errs = check(seed, instances or default_instances)
     worst = max(errs.values())
     return GradcheckReport(scope=scope, tol=tol, max_rel_err=worst,
                            per_case=errs, passed=worst < tol)
-
-
-# ---------------------------------------------------------------------------
-# parameter budgeting
-
-
-def count_params(variant: str, hidden: int, in_dim: int, out_dim: int,
-                 ortho_set: tuple[str, ...] = ()) -> int:
-    """Trainable scalars in one cell plus its linear readout.
-
-    A weight under the orthogonal parameterization contributes its skew
-    degrees of freedom n(n-1)/2 instead of n^2; the +/-1 scaling is fixed,
-    not trained. Both variants carry three n-sized bias vectors.
-    """
-    if variant not in ("gru", "ncgru"):
-        raise ContractError(f"unknown variant {variant!r}")
-    n = hidden
-    full_recurrent = 3 - len(ortho_set)
-    return (3 * n * in_dim + full_recurrent * n * n
-            + len(ortho_set) * (n * (n - 1) // 2)
-            + 3 * n + out_dim * (n + 1))
-
-
-def match_hidden(budget: int, variant: str, in_dim: int, out_dim: int,
-                 ortho_set: tuple[str, ...] = ()) -> int:
-    """Smallest hidden size whose parameter count reaches budget
-    (ceiling-rounded matching)."""
-    n = 2
-    while count_params(variant, n, in_dim, out_dim, ortho_set) < budget:
-        n += 1
-        if n > 4096:
-            raise ContractError(f"no hidden size under 4096 reaches budget {budget}")
-    return n

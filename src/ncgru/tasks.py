@@ -50,6 +50,8 @@ PARENTHESIS_CAP = 10
 DENOISE_ALPHABET = 10
 _COPY_DIGITS = 8
 _COPY_RECALL = 10
+# shortest T each generator accepts
+_MIN_T = {"adding": 2, "copying": 1, "parenthesis": 1, "denoise": 11}
 
 
 @dataclass
@@ -94,11 +96,23 @@ def _one_hot(classes: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
-    if T < 2:
-        raise ContractError(f"adding task needs T >= 2, got {T}")
+def _check_request(task: str, T: int, batch: int = 1, seed: int = 0,
+                   n_pairs: int = PARENTHESIS_PAIRS, alphabet_n: int = DENOISE_ALPHABET) -> None:
+    """The size rules of every generator; configs are checked against them too."""
+    if T < _MIN_T[task]:
+        raise ContractError(f"{task} task needs T >= {_MIN_T[task]}, got {T}")
     if batch < 1:
         raise ContractError(f"batch must be >= 1, got {batch}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    if not 1 <= n_pairs <= PARENTHESIS_PAIRS:
+        raise ContractError(f"n_pairs must be in [1, {PARENTHESIS_PAIRS}], got {n_pairs}")
+    if alphabet_n < 2:
+        raise ContractError(f"denoise alphabet must have >= 2 symbols, got {alphabet_n}")
+
+
+def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
+    _check_request("adding", T, batch, seed)
     rng = np.random.default_rng(seed)
     inputs = np.zeros((batch, T, 2))
     inputs[:, :, 1] = rng.uniform(0.0, 1.0, (batch, T))
@@ -113,10 +127,7 @@ def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
 
 
 def gen_copying(T: int, batch: int, seed: int) -> TaskBatch:
-    if T < 1:
-        raise ContractError(f"copying task needs T >= 1, got {T}")
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
+    _check_request("copying", T, batch, seed)
     rng = np.random.default_rng(seed)
     total = T + 20
     digits = rng.integers(1, _COPY_DIGITS + 1, (batch, 10))
@@ -155,12 +166,7 @@ def unmatched_counts(symbols: np.ndarray, n_pairs: int = PARENTHESIS_PAIRS,
 
 def gen_parenthesis(T: int, batch: int, seed: int, n_pairs: int = PARENTHESIS_PAIRS,
                     final_only: bool = False) -> TaskBatch:
-    if T < 1:
-        raise ContractError(f"parenthesis task needs T >= 1, got {T}")
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
-    if not 1 <= n_pairs <= PARENTHESIS_PAIRS:
-        raise ContractError(f"n_pairs must be in [1, {PARENTHESIS_PAIRS}], got {n_pairs}")
+    _check_request("parenthesis", T, batch, seed, n_pairs=n_pairs)
     rng = np.random.default_rng(seed)
     noise = 2 * n_pairs
     symbols = np.zeros((batch, T), dtype=np.int64)
@@ -192,12 +198,7 @@ def gen_parenthesis(T: int, batch: int, seed: int, n_pairs: int = PARENTHESIS_PA
 
 def gen_denoise(T: int, batch: int, seed: int,
                 alphabet_n: int = DENOISE_ALPHABET) -> TaskBatch:
-    if T < 11:
-        raise ContractError(f"denoise task needs T >= 11, got {T}")
-    if batch < 1:
-        raise ContractError(f"batch must be >= 1, got {batch}")
-    if alphabet_n < 2:
-        raise ContractError(f"denoise alphabet must have >= 2 symbols, got {alphabet_n}")
+    _check_request("denoise", T, batch, seed, alphabet_n=alphabet_n)
     rng = np.random.default_rng(seed)
     total = T + 10
     noise = alphabet_n

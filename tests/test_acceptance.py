@@ -19,8 +19,6 @@ from ncgru.bounds import compute_bound, saturation_sweep
 from ncgru.cells import CellParams, cell_forward, jacobian_h
 from ncgru.harness import (
     ExperimentConfig,
-    count_params,
-    match_hidden,
     read_metrics_csv,
     run_gradcheck,
     run_training,
@@ -97,13 +95,23 @@ def adding_runs(tmp_path_factory):
     return runs
 
 
+def _param_count(hidden, in_dim, out_dim, n_ortho=0):
+    """Trainable scalars of one cell plus its linear readout. An orthogonal
+    weight contributes its n(n-1)/2 skew entries instead of n^2 (the +/-1
+    scaling is fixed); both variants carry three n-sized bias vectors."""
+    n = hidden
+    return (3 * n * in_dim + (3 - n_ortho) * n * n + n_ortho * (n * (n - 1) // 2)
+            + 3 * n + out_dim * (n + 1))
+
+
 @pytest.fixture(scope="module")
 def parenthesis_runs(tmp_path_factory):
     """NC-GRU(u_r, u_c) hidden 48 vs plain GRU at a matched budget,
     identical seed and schedule."""
     in_dim, out_dim = 21, 11
-    budget = count_params("ncgru", 48, in_dim, out_dim, ("u_r", "u_c"))
-    gru_hidden = match_hidden(budget, "gru", in_dim, out_dim)
+    budget = _param_count(48, in_dim, out_dim, n_ortho=2)
+    # smallest GRU hidden size whose parameter count reaches the budget
+    gru_hidden = next(n for n in range(2, 4096) if _param_count(n, in_dim, out_dim) >= budget)
 
     def cfg(variant, hidden, ortho):
         model = {"variant": variant, "hidden": hidden}
@@ -123,8 +131,7 @@ def parenthesis_runs(tmp_path_factory):
             ("gru", "GRU", gru_hidden, None)):
         out = tmp_path_factory.mktemp(f"paren_{label}")
         runs[label] = run_training(cfg(variant, hidden, ortho), out_dir=str(out))
-    runs["budgets"] = (budget, count_params("gru", gru_hidden, in_dim, out_dim),
-                       gru_hidden)
+    runs["budgets"] = (budget, _param_count(gru_hidden, in_dim, out_dim), gru_hidden)
     return runs
 
 
@@ -294,7 +301,7 @@ def test_c10_parenthesis_ncgru_not_worse_than_gru(parenthesis_runs):
     assert gru_hidden == 42
     assert budget_gru >= budget_nc
     # The match is tight: one hidden unit fewer would undershoot.
-    assert count_params("gru", gru_hidden - 1, 21, 11) < budget_nc
+    assert _param_count(gru_hidden - 1, 21, 11) < budget_nc
     nc = parenthesis_runs["ncgru"]
     gru = parenthesis_runs["gru"]
     assert nc.status == "completed" and gru.status == "completed"

@@ -1,8 +1,10 @@
 """Training harness tests: config validation, run artifacts, checkpoints,
-ablations, gradient checks, parameter matching, and the CLI entry point."""
+ablations, gradient checks, and the CLI entry point."""
 
 import copy
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,7 @@ from ncgru.errors import ConfigError, ContractError
 from ncgru.harness import (
     ExperimentConfig,
     METRICS_HEADER,
-    count_params,
     load_checkpoint,
-    match_hidden,
     read_metrics_csv,
     run_ablation,
     run_gradcheck,
@@ -127,6 +127,45 @@ def test_config_value_validation():
         ExperimentConfig.from_dict(make_cfg(**{"train.batch_size": 0}))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(make_cfg(**{"model.num_neg": 9}))
+
+
+@pytest.mark.parametrize("edit", [
+    {"model.exact_inverse_mode": "false"},
+    {"task.T": "abc"},
+    {"task.T": [5]},
+    {"train.seed": 1.5},
+    {"train.seed": -3},
+    {"train.iterations": True},
+    {"optimizer.lr": float("nan")},
+    {"optimizer.lr": 10**400},
+])
+def test_config_rejects_wrong_json_type_or_range(edit):
+    # bool("false") is True, so a cast would silently run the exact arm
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(make_cfg(**edit))
+
+
+def test_configs_built_by_replace_are_checked():
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
+    with pytest.raises(ConfigError):
+        run_training(cfg, seed=-1)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg.model, exact_inverse_mode="false")
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg.optimizer, lr=float("inf"))
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SHIPPED = sorted([*_ROOT.glob("configs/*.json"), *_ROOT.glob("trainbench/ortho_wide*.json")])
+
+
+def test_shipped_configs_load_and_round_trip():
+    # config.json and the config inside checkpoints are cfg.to_dict(); reading
+    # it back must give the same config.
+    assert len(_SHIPPED) == 9
+    for path in _SHIPPED:
+        cfg = ExperimentConfig.load(path)
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg, path
 
 
 def test_config_load_and_round_trip(tmp_path):
@@ -263,6 +302,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_checkpoint_old_and_new_layout_load_alike(tmp_path):
+    # A checkpoint stores each orthogonal weight once, as its skew state; a
+    # file that also lists the weight under "params" (the earlier layout)
+    # must load to the same state.
+    blob = make_cfg(**{"model.ortho_set": ["U_r", "U_u", "U_c"]})
+    cfg = ExperimentConfig.from_dict(blob)
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    new_path = tmp_path / "out" / "checkpoint.json"
+    saved = json.loads(new_path.read_text())
+    assert set(saved["params"]).isdisjoint(cfg.model.ortho_set)
+    new = load_checkpoint(new_path)
+    saved["params"] = {name: arr.tolist() for name, arr in new.model.params.named_arrays()}
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(saved, indent=1) + "\n")
+    old = load_checkpoint(old_path)
+    for (name, a), (_, b) in zip(new.model.params.named_arrays(),
+                                 old.model.params.named_arrays()):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(new.model.readout_w, old.model.readout_w)
+    for name, skew in new.model.skews.items():
+        assert np.array_equal(skew.a_tilde, old.model.skews[name].a_tilde)
+
+
 def test_checkpoint_skews_recomputed_consistently(tmp_path):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -309,7 +371,7 @@ def test_ablation_ortho_placement():
     assert labels == ["uc", "ur_uc", "ur_uu_uc"]
     gru = ExperimentConfig.from_dict(
         make_cfg(**{"model.variant": "GRU", "train.iterations": 2}))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         run_ablation("ortho-placement", gru)
 
 
@@ -334,26 +396,6 @@ def test_gradcheck_scopes_pass():
         run_gradcheck("everything")
     with pytest.raises(ContractError):
         run_gradcheck("cayley", instances=0)
-
-
-def test_count_params_closed_form():
-    # ncgru, n=48, m=21, k=11, two orthogonal weights: one full n^2 matrix,
-    # two skew parameter sets of n(n-1)/2, three input maps, three biases
-    # (two gates plus modrelu), readout k(n+1).
-    n, m, k = 48, 21, 11
-    want = 3 * n * m + n * n + 2 * (n * (n - 1) // 2) + 3 * n + k * (n + 1)
-    got = count_params("ncgru", n, m, k, ortho_set=("u_r", "u_c"))
-    assert got == want == 8267
-    plain = count_params("gru", 42, m, k)
-    assert plain == 3 * 42 * m + 3 * 42 * 42 + 3 * 42 + k * 43
-
-
-def test_match_hidden_reaches_budget():
-    budget = count_params("ncgru", 48, 21, 11, ortho_set=("u_r", "u_c"))
-    hidden = match_hidden(budget, "gru", 21, 11)
-    assert hidden == 42
-    assert count_params("gru", hidden, 21, 11) >= budget
-    assert count_params("gru", hidden - 1, 21, 11) < budget
 
 
 def test_cli_train_and_artifacts(tmp_path):
@@ -413,16 +455,33 @@ def test_cli_gen(tmp_path):
     assert sum(1 for _ in open(out)) == 4
 
 
+# config files the exit-code test writes, by the name its argv uses
+_CLI_CONFIGS = {
+    "base.json": json.dumps(BASE_CFG).encode(),
+    "gru.json": json.dumps(make_cfg(**{"model.variant": "GRU"})).encode(),
+    "utf16.json": json.dumps(BASE_CFG).encode("utf-16"),
+    "lr_nan.json": json.dumps(make_cfg(**{"optimizer.lr": float("nan")})).encode(),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--task", "adding", "--T", "1", "--count", "4"],
     ["gen", "--task", "copying", "--T", "5", "--count", "0"],
     ["gradcheck", "--scope", "cayley", "--instances", "-1"],
     ["gradcheck", "--scope", "cayley", "--instances", "0"],
+    ["gen", "--task", "copying", "--T", "5", "--count", "4", "--seed", "-1"],
+    ["train", "--config", "base.json", "--seed", "-5"],
+    ["ablate", "--mode", "ortho-placement", "--config", "gru.json"],
+    ["train", "--config", "utf16.json"],
+    ["train", "--config", "lr_nan.json"],
 ])
 def test_cli_invalid_gen_and_gradcheck_input_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "samples.jsonl"
     if argv[0] == "gen":
         argv = argv + ["--out", str(out)]
+    for name, text in _CLI_CONFIGS.items():
+        (tmp_path / name).write_bytes(text)
+    argv = [str(tmp_path / arg) if arg in _CLI_CONFIGS else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
