@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cells import CellParams, StepCache, cell_forward, jacobian_h
-from .errors import ContractError, ConvergenceError
+from .errors import ContractError
 from .linalg import spectral_norm
 
 _REGIMES = ("mixed", "u_zero", "u_one_r_zero", "u_one_r_one")
@@ -59,21 +59,11 @@ class BoundReport:
     near_kink: bool
 
 
-
-def _norm(m: np.ndarray, tol: float) -> float:
-    # Rayleigh iterates approach the spectral norm from below, so falling
-    # back to the last estimate on slow convergence can only understate
-    # `measured`, never manufacture a bound violation.
-    try:
-        return spectral_norm(m, tol=tol, max_iter=5000)
-    except ConvergenceError as err:
-        return err.estimate
-
-
-def compute_bound(p: CellParams, cache: StepCache, power_tol: float = 1e-9) -> BoundReport:
+def compute_bound(p: CellParams, cache: StepCache) -> BoundReport:
     """Evaluate the Jacobian bound and the measured norm at one step.
 
-    The cache must come from an unbatched forward call.
+    The cache must come from an unbatched forward call. All norms are exact
+    (SVD), so a negative slack is a real bound violation.
     """
     if cache.batched:
         raise ContractError("compute_bound needs an unbatched cache (single example)")
@@ -84,16 +74,16 @@ def compute_bound(p: CellParams, cache: StepCache, power_tol: float = 1e-9) -> B
 
     delta_u = float(np.max(u * (1.0 - u)))
     delta_r = float(np.max(r * (1.0 - r)))
-    n_ur = _norm(p.u_r, power_tol)
-    n_uu = _norm(p.u_u, power_tol)
-    n_uc = _norm(p.u_c, power_tol)
+    n_ur = spectral_norm(p.u_r)
+    n_uu = spectral_norm(p.u_u)
+    n_uc = spectral_norm(p.u_c)
 
     alpha = delta_u * (float(np.max(h)) + float(np.max(c))) * n_uu + float(np.max(1.0 - u))
     beta = float(np.max(u)) * (delta_r * n_ur * float(np.max(h)) + float(np.max(r)))
     bound = alpha + beta * n_uc
 
     jac = jacobian_h(p, cache)
-    measured = _norm(jac.matrix, power_tol)
+    measured = spectral_norm(jac.matrix)
     sat = float(max(np.max(np.minimum(r, 1.0 - r)), np.max(np.minimum(u, 1.0 - u))))
     return BoundReport(
         alpha=alpha, beta=beta, delta_u=delta_u, delta_r=delta_r,

@@ -71,6 +71,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if args.instances is not None and args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     scopes = ("cayley", "cell", "bptt") if args.scope == "all" else (args.scope,)
     ok = True
     for scope in scopes:

@@ -16,8 +16,8 @@ class SingularMatrixError(NcgruError, ArithmeticError):
 class ConvergenceError(NcgruError, RuntimeError):
     """An iterative routine hit its iteration cap before meeting tolerance.
 
-    Carries the last estimate so callers running monitors can degrade
-    gracefully instead of losing the step.
+    Nothing in ncgru raises it any more (spectral norms are exact); it stays
+    exported for code that catches it. Carries the last estimate.
     """
 
     def __init__(self, message: str, estimate: float):

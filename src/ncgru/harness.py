@@ -41,10 +41,11 @@ pure function of its config.
 Each training iteration: generate batch -> sequence_bptt -> optimizer
 steps for ordinary weights and the readout -> for every weight in
 ortho_set, grad_pullback then a Neumann (or exact-inverse) step -> emit a
-MetricRow. A non-finite loss or gradient ends the run with one structured
-row (train_loss = nan) and status "numeric_error" instead of a crash; such
-a run writes no checkpoint, because the abort can come after some weights
-of the iteration were already updated.
+MetricRow. A non-finite training or eval loss, gradient or orthogonal
+state ends the run with one structured row (train_loss = nan) and status
+"numeric_error" instead of a crash; such a run writes no checkpoint,
+because the abort can come after some weights of the iteration were
+already updated.
 
 The metrics CSV must be byte-identical across reruns of the same config
 and seed, so its wall_ms column is pinned to 0; measured per-iteration
@@ -518,6 +519,13 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                     setattr(params, name, skew.u)
                     drift = max(drift, diag.drift)
                     contraction = max(contraction, diag.contraction_norm)
+
+                eval_loss = None
+                if k % cfg.train.eval_every == 0 or k == cfg.train.iterations:
+                    eval_loss = evaluate(model, eval_batch)
+                    if not np.isfinite(eval_loss):
+                        raise NumericError(f"non-finite eval loss at iteration {k}")
+                    final_eval = eval_loss
         except NumericError:
             metrics.append(MetricRow(step=k, train_loss=float("nan"), eval_loss=None,
                                      drift=max_drift, contraction_norm=max_contraction))
@@ -526,10 +534,6 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
 
         max_drift = max(max_drift, drift)
         max_contraction = max(max_contraction, contraction)
-        eval_loss = None
-        if k % cfg.train.eval_every == 0 or k == cfg.train.iterations:
-            eval_loss = evaluate(model, eval_batch)
-            final_eval = eval_loss
         metrics.append(MetricRow(step=k, train_loss=result.loss, eval_loss=eval_loss,
                                  drift=drift, contraction_norm=contraction))
         timings.append((k, int(round((time.perf_counter() - t0) * 1000))))
@@ -819,6 +823,8 @@ def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> Gr
     """
     if instances is not None and instances < 1:
         raise ContractError(f"instances must be >= 1, got {instances}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if scope not in _GRADCHECKS:
         raise ContractError(f"unknown gradcheck scope {scope!r}")
     check, default_instances, tol = _GRADCHECKS[scope]

@@ -3,9 +3,9 @@
 All routines take and return plain numpy arrays: vectors are 1-D, matrices
 2-D, row-major, float64. scipy's LU factorization backs the exact inverse
 so singularity is detected from the pivots rather than guessed from an
-exception. The spectral norm is a power iteration on the Gram matrix with
-a fixed internal start vector, so repeated calls are deterministic and do
-not touch global RNG state.
+exception. The spectral norm is exact: the largest singular value from
+LAPACK's SVD (singular values only), so it is not understated when the
+leading singular values are close, and it draws no random numbers.
 
 Every routine checks its result for NaN/Inf and raises NumericError rather
 than letting poisoned values propagate into a training run.
@@ -18,15 +18,11 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import ConvergenceError, NumericError, ShapeError, SingularMatrixError
+from .errors import NumericError, ShapeError, SingularMatrixError
 
 # Pivot below this multiple of the Frobenius norm means the factorization
 # carries no usable information about the inverse.
 _PIVOT_RTOL = 1e-14
-
-# Fixed seed for the power-iteration start vector. Spectral norms feed
-# per-step training diagnostics, so they must not consume global RNG state.
-_POWER_SEED = 0x5EED
 
 
 def _require_matrix(m: np.ndarray, what: str) -> np.ndarray:
@@ -69,41 +65,13 @@ def exact_inverse(m: np.ndarray) -> np.ndarray:
     return ensure_finite(inv, "inverse")
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest singular value of m, by power iteration on m^T m.
-
-    Works for any rectangular matrix. Returns 0.0 for the zero matrix.
-    Stops when successive estimates agree to a relative tol; raises
-    ConvergenceError (carrying the last estimate) if max_iter passes first,
-    which near-tied leading singular values can provoke.
-    """
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of m (any rectangular shape); 0.0 if m is empty."""
     m = _require_matrix(m, "matrix")
     ensure_finite(m, "matrix for spectral norm")
-    if float(np.linalg.norm(m)) == 0.0:
+    if m.size == 0:
         return 0.0
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        sigma = float(np.linalg.norm(w))
-        if abs(sigma - prev) <= tol * max(sigma, np.finfo(np.float64).tiny):
-            return sigma
-        z = m.T @ w
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            # start vector landed in the null space; redraw
-            v = rng.standard_normal(m.shape[1])
-            v /= np.linalg.norm(v)
-            prev = 0.0
-            continue
-        v = z / nz
-        prev = sigma
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations", estimate=sigma
-    )
+    return float(np.linalg.norm(m, 2))
 
 
 def fro_dist_identity(m: np.ndarray) -> float:

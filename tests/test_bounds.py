@@ -101,9 +101,12 @@ def test_sweep_whole_vector_regimes_near_one():
 
 def test_sweep_u_zero_bound_collapses_to_decay():
     # With u near 0 the step is almost the identity, measured norm near 1.
+    # The cell equations allow at most 1 + 4 * delta_u above it here:
+    # |c - h| <= 2, u <= delta_u / (1 - u) and U_* orthogonal.
     p = orthogonal_gru(10, 4, seed=10)
     summary = saturation_sweep(p, "u_zero", samples=30, seed=11)
-    assert summary.max_measured <= 1.0 + 1e-6
+    delta_u = max(rep.delta_u for rep in summary.reports)
+    assert summary.max_measured <= 1.0 + 4.0 * delta_u
 
 
 def test_sweep_tightens_with_saturation():

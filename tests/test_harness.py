@@ -286,6 +286,20 @@ def test_numeric_abort_writes_no_checkpoint(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+def test_non_finite_eval_loss_aborts(tmp_path, capsys):
+    # At lr 1e12 the training loss of iteration 1 is still finite, but the
+    # update it applies makes the eval after it overflow.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_cfg(**{"optimizer.lr": 1e12,
+                                               "train.iterations": 1})))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("status=numeric_error ")
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert len(rows) == 1 and np.isnan(rows[0].train_loss)
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run = run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -396,6 +410,8 @@ def test_gradcheck_scopes_pass():
         run_gradcheck("everything")
     with pytest.raises(ContractError):
         run_gradcheck("cayley", instances=0)
+    with pytest.raises(ContractError):
+        run_gradcheck("cell", seed=-1)
 
 
 def test_cli_train_and_artifacts(tmp_path):
@@ -474,6 +490,8 @@ _CLI_CONFIGS = {
     ["ablate", "--mode", "ortho-placement", "--config", "gru.json"],
     ["train", "--config", "utf16.json"],
     ["train", "--config", "lr_nan.json"],
+    ["gradcheck", "--scope", "cell", "--seed", "-1"],
+    ["gradcheck", "--scope", "cayley", "--seed", "-1"],
 ])
 def test_cli_invalid_gen_and_gradcheck_input_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "samples.jsonl"

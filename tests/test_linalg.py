@@ -58,6 +58,11 @@ def test_spectral_norm_matches_eigensolve():
         want = float(np.sqrt(np.max(scipy.linalg.eigvalsh(m.T @ m))))
         got = spectral_norm(m)
         assert abs(got - want) < 1e-8 * max(want, 1.0)
+    # Leading singular values 1 and 1 - 1e-7: nearly tied, as in the
+    # near-orthogonal regime, where an iterative estimate comes out low.
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    m = q @ np.diag([1.0, 1.0 - 1e-7, 0.5, 0.25]) @ q.T
+    assert abs(spectral_norm(m) - 1.0) <= 1e-12
 
 
 def test_spectral_norm_diagonal():

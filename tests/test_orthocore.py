@@ -214,7 +214,11 @@ def test_neumann_update_accuracy_small_step():
     """One order-2 step with a tiny delta keeps the cached inverse tight."""
     sk = SkewOrthogonal.create(16, seed=8, reset_every=0)
     delta = 1e-4 * random_skew(16, seed=9)
-    sk.neumann_step(delta)
+    e = sk.a_tilde @ delta
+    diag = sk.neumann_step(delta)
+    # The contraction diagnostic is the exact ||E||_2, not an estimate.
+    want = np.linalg.svd(e, compute_uv=False)[0]
+    assert abs(diag.contraction_norm - want) <= 1e-12 * want
     true_inv = exact_inverse(np.eye(16) + sk.a)
     # Order 2 leaves O(||E||^3) truncation error, about 6e-11 here.
     assert np.max(np.abs(sk.a_tilde - true_inv)) < 1e-9
