@@ -63,7 +63,7 @@ def compute_bound(p: CellParams, cache: StepCache) -> BoundReport:
     """Evaluate the Jacobian bound and the measured norm at one step.
 
     The cache must come from an unbatched forward call. All norms are exact
-    (SVD), so a negative slack is a real bound violation.
+    (linalg.spectral_norm), so a negative slack is a real bound violation.
     """
     if cache.batched:
         raise ContractError("compute_bound needs an unbatched cache (single example)")

@@ -3,9 +3,11 @@
 All routines take and return plain numpy arrays: vectors are 1-D, matrices
 2-D, row-major, float64. scipy's LU factorization backs the exact inverse
 so singularity is detected from the pivots rather than guessed from an
-exception. The spectral norm is exact: the largest singular value from
-LAPACK's SVD (singular values only), so it is not understated when the
-leading singular values are close, and it draws no random numbers.
+exception. The spectral norm is exact: the square root of the top
+eigenvalue of the smaller Gram matrix (m^T m or m m^T), from one LAPACK
+symmetric eigensolve restricted to that eigenvalue. It agrees with the
+SVD's largest singular value to rounding, is not understated when the
+leading singular values are close, and draws no random numbers.
 
 Every routine checks its result for NaN/Inf and raises NumericError rather
 than letting poisoned values propagate into a training run.
@@ -13,10 +15,11 @@ than letting poisoned values propagate into a training run.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigvalsh, lu_factor, lu_solve
 
 from .errors import NumericError, ShapeError, SingularMatrixError
 
@@ -66,12 +69,25 @@ def exact_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of m (any rectangular shape); 0.0 if m is empty."""
+    """Largest singular value of m (any rectangular shape); 0.0 if m is
+    empty or zero.
+
+    Computed as sqrt(lambda_max) of the smaller Gram matrix. m is first
+    divided by max|m|, so entries near 1e+-200 neither overflow nor
+    underflow when squared, and the scale is multiplied back afterwards.
+    After that division some entry is 1, so lambda_max >= 1 and its
+    square root is always real.
+    """
     m = _require_matrix(m, "matrix")
     ensure_finite(m, "matrix for spectral norm")
-    if m.size == 0:
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    m = m / scale
+    gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
+    k = gram.shape[0]
+    top = eigvalsh(gram, subset_by_index=[k - 1, k - 1], check_finite=False)[0]
+    return scale * math.sqrt(top)
 
 
 def fro_dist_identity(m: np.ndarray) -> float:

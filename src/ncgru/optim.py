@@ -1,8 +1,9 @@
 """First-order optimizers (SGD, RMSProp, Adam) over named parameters.
 
-step() returns the update the caller subtracts; the optimizer itself never
-touches parameter memory. Buffers are keyed by parameter name, created
-lazily, and serialize to JSON for checkpoints.
+step() returns the update the caller subtracts, in a fresh array the
+caller may modify; the optimizer itself never touches parameter memory.
+Buffers are keyed by parameter name, created lazily, updated in place,
+and serialize to JSON for checkpoints.
 
 All three updates act entrywise with symmetric functions of the gradient
 history, and epsilon is added inside the denominator, so a skew-symmetric
@@ -17,9 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, ShapeError
 
 _KINDS = ("sgd", "rmsprop", "adam")
+
+
+def _ema(bufs: dict, name: str, rate: float, grad: np.ndarray, tmp: np.ndarray,
+         square: bool) -> np.ndarray:
+    """In place, buf = rate * buf + (1 - rate) * grad (* grad if square), in
+    that operation order, for buf = bufs[name] (zeros on first use); tmp is
+    scratch of grad's shape. Returns buf."""
+    buf = bufs.get(name)
+    if buf is None:
+        buf = bufs[name] = np.zeros_like(grad)
+    buf *= rate
+    np.multiply(1.0 - rate, grad, out=tmp)
+    if square:
+        tmp *= grad
+    buf += tmp
+    return buf
 
 
 @dataclass
@@ -43,35 +60,40 @@ class Optimizer:
     def step(self, name: str, grad: np.ndarray) -> np.ndarray:
         """Update to subtract from the parameter registered under name.
 
-        Rejects non-finite gradients before any buffer is mutated, so a
-        poisoned step leaves the optimizer state intact.
+        Rejects non-finite gradients, and gradients whose shape differs
+        from the buffers of name, before any buffer is mutated, so a
+        rejected step leaves the optimizer state intact.
         """
         grad = np.asarray(grad, dtype=np.float64)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient for {name!r}")
+        for buf in (self._m.get(name), self._v.get(name)):
+            if buf is not None and buf.shape != grad.shape:
+                raise ShapeError(f"gradient shape {grad.shape} for {name!r} does not "
+                                 f"match its optimizer state {buf.shape}")
         if self.kind == "sgd":
             return self.lr * grad
+        # Buffers are updated in place and the update is built in one fresh
+        # array, keeping the operation order of the out-of-place formulas
+        #   rmsprop: lr * grad / (sqrt(v) + eps)
+        #   adam:    lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        # so every result equals theirs bit for bit.
+        tmp = np.empty_like(grad)
         if self.kind == "rmsprop":
-            v = self._v.get(name)
-            if v is None:
-                v = np.zeros_like(grad)
-            v = self.decay * v + (1.0 - self.decay) * grad * grad
-            self._v[name] = v
-            return self.lr * grad / (np.sqrt(v) + self.eps)
-        t = self._t.get(name, 0) + 1
-        m = self._m.get(name)
-        v = self._v.get(name)
-        if m is None:
-            m = np.zeros_like(grad)
-            v = np.zeros_like(grad)
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self._m[name] = m
-        self._v[name] = v
-        self._t[name] = t
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v = _ema(self._v, name, self.decay, grad, tmp, square=True)
+            np.sqrt(v, out=tmp)
+            upd = np.multiply(self.lr, grad)
+        else:
+            t = self._t[name] = self._t.get(name, 0) + 1
+            m = _ema(self._m, name, self.beta1, grad, tmp, square=False)
+            v = _ema(self._v, name, self.beta2, grad, tmp, square=True)
+            np.divide(v, 1.0 - self.beta2 ** t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            upd = np.divide(m, 1.0 - self.beta1 ** t)
+            upd *= self.lr
+        tmp += self.eps
+        upd /= tmp
+        return upd
 
     def to_dict(self) -> dict:
         return {

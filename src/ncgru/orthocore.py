@@ -94,6 +94,9 @@ def check_skew(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{what} must be square, got {m.shape}")
+    # checked apart: a NaN defect would pass the comparison below
+    if not np.all(np.isfinite(m)):
+        raise ShapeError(f"{what} has NaN or Inf entries")
     defect = float(np.max(np.abs(m + m.T))) if m.size else 0.0
     if defect > _SKEW_ATOL:
         raise ShapeError(f"{what} is not skew-symmetric (max |m + m^T| = {defect:.3e})")
@@ -131,18 +134,34 @@ class SkewOrthogonal:
 
     Fields a (skew), d (+/-1 diagonal) are the parameters; a_tilde caches
     (I + a)^-1 up to Neumann truncation error and u caches the assembled
-    orthogonal matrix. steps_since_reset drives the periodic exact reset
-    (reset_every == 0 disables it).
+    orthogonal matrix, derived on construction. steps_since_reset drives
+    the periodic exact reset (reset_every == 0 disables it).
+    Construction checks the same rules for fresh and loaded state and
+    raises ShapeError on a violation.
     """
 
     a: np.ndarray
     d: np.ndarray
     a_tilde: np.ndarray
-    u: np.ndarray
+    u: np.ndarray = field(init=False)
     neumann_order: int = 2
     reset_every: int = 50
     steps_since_reset: int = 0
     step: int = field(default=0)
+
+    def __post_init__(self):
+        if self.neumann_order not in _VALID_ORDERS:
+            raise ShapeError(f"neumann_order must be one of {_VALID_ORDERS}, "
+                             f"got {self.neumann_order}")
+        if self.reset_every < 0:
+            raise ShapeError(f"reset_every must be >= 0, got {self.reset_every}")
+        self.a = check_skew(self.a, "a")
+        n = self.n
+        if self.d.shape != (n,) or not np.all(np.abs(self.d) == 1.0):
+            raise ShapeError(f"d must be a vector of {n} entries, each +1 or -1")
+        if self.a_tilde.shape != (n, n) or not np.all(np.isfinite(self.a_tilde)):
+            raise ShapeError(f"a_tilde must be a finite {n}x{n} matrix, got shape {self.a_tilde.shape}")
+        self._refresh_u()
 
     @classmethod
     def create(
@@ -153,19 +172,13 @@ class SkewOrthogonal:
         neumann_order: int = 2,
         reset_every: int = 50,
     ) -> "SkewOrthogonal":
-        if neumann_order not in _VALID_ORDERS:
-            raise ShapeError(f"neumann_order must be one of {_VALID_ORDERS}, got {neumann_order}")
-        if reset_every < 0:
-            raise ShapeError(f"reset_every must be >= 0, got {reset_every}")
         if num_neg is None:
             num_neg = n // 2
         a = init_skew(n, seed)
         d = make_scaling(n, num_neg)
         a_tilde = exact_inverse(np.eye(n) + a)
-        state = cls(a=a, d=d, a_tilde=a_tilde, u=np.zeros((n, n)),
-                    neumann_order=neumann_order, reset_every=reset_every)
-        state._refresh_u()
-        return state
+        return cls(a=a, d=d, a_tilde=a_tilde,
+                   neumann_order=neumann_order, reset_every=reset_every)
 
     @property
     def n(self) -> int:
@@ -204,10 +217,12 @@ class SkewOrthogonal:
         """Start of both steps: validate delta_a, measure ||E||_2 for
         E = a_tilde @ delta_a, apply A <- A - delta_a and count the step.
         Returns (E, ||E||_2); a_tilde and u are left to the caller."""
+        # finiteness first: a diverging run must end in NumericError (a
+        # numeric abort), not in check_skew's ShapeError
+        ensure_finite(delta_a, "delta_a")
         delta_a = check_skew(delta_a, "delta_a")
         if delta_a.shape != self.a.shape:
             raise ShapeError(f"delta shape {delta_a.shape} does not match parameter {self.a.shape}")
-        ensure_finite(delta_a, "delta_a")
         e = self.a_tilde @ delta_a
         contraction = spectral_norm(e)
         self.a = self.a - delta_a
@@ -260,16 +275,12 @@ class SkewOrthogonal:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "SkewOrthogonal":
-        state = cls(
+        return cls(
             a=np.asarray(blob["a"], dtype=np.float64),
             d=np.asarray(blob["d"], dtype=np.float64),
             a_tilde=np.asarray(blob["a_tilde"], dtype=np.float64),
-            u=np.zeros((len(blob["d"]), len(blob["d"]))),
             neumann_order=int(blob["neumann_order"]),
             reset_every=int(blob["reset_every"]),
             steps_since_reset=int(blob["steps_since_reset"]),
             step=int(blob["step"]),
         )
-        check_skew(state.a, "a")
-        state._refresh_u()
-        return state

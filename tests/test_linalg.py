@@ -4,6 +4,8 @@ Oracles: scipy eigenvalues for spectral norms and hand-computed small
 inverses.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -70,8 +72,15 @@ def test_spectral_norm_diagonal():
     assert abs(spectral_norm(m) - 3.0) < 1e-10
 
 
+def svd_top(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in ((4, 4), (5, 2), (2, 5), (0, 3)):
+            assert spectral_norm(np.zeros(shape)) == 0.0
 
 
 def test_spectral_norm_below_frobenius():
@@ -90,6 +99,33 @@ def test_spectral_norm_rectangular():
     # Singular values of [[3, 0], [0, 2], [0, 0]] are 3 and 2.
     m = np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     assert abs(spectral_norm(m) - 3.0) < 1e-10
+    assert abs(spectral_norm(m.T) - 3.0) < 1e-10
+    rng = np.random.default_rng(24)
+    for shape in ((40, 7), (7, 40), (1, 9), (9, 1)):
+        m = rng.normal(size=shape)
+        want = svd_top(m)
+        assert abs(spectral_norm(m) - want) <= 1e-12 * want, shape
+
+
+def test_spectral_norm_extreme_scales():
+    # The Gram matrix of these would overflow to Inf or underflow to 0
+    # without the scaling by max|m|.
+    rng = np.random.default_rng(25)
+    m = rng.normal(size=(12, 9))
+    base = svd_top(m)
+    for scale in (1e200, 1e-200):
+        got = spectral_norm(scale * m)
+        assert np.isfinite(got) and got > 0.0
+        assert abs(got - scale * base) <= 1e-12 * scale * base, scale
+
+
+def test_spectral_norm_rank_one():
+    # ||x y^T||_2 = ||x|| * ||y||
+    rng = np.random.default_rng(26)
+    x = rng.normal(size=(17, 1))
+    y = rng.normal(size=(11, 1))
+    want = float(np.linalg.norm(x) * np.linalg.norm(y))
+    assert abs(spectral_norm(x @ y.T) - want) <= 1e-12 * want
 
 
 def test_fro_dist_identity_cases():

@@ -1,9 +1,11 @@
 """Optimizer update-rule tests against hand-evaluated formulas."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ncgru.errors import ContractError, NumericError
+from ncgru.errors import ContractError, NumericError, ShapeError
 from ncgru.optim import Optimizer
 
 
@@ -53,6 +55,42 @@ def test_rmsprop_first_step_hand_formula():
     v = 0.1 * g * g
     want = 0.05 * g / (np.sqrt(v) + 1e-8)
     assert np.allclose(upd, want, atol=1e-15, rtol=0.0)
+
+
+def out_of_place_updates(kind, grads, lr, b1=0.9, b2=0.999, decay=0.9, eps=1e-8):
+    """Reference: the textbook formulas, a fresh array for every term."""
+    m = np.zeros_like(grads[0])
+    v = np.zeros_like(grads[0])
+    out = []
+    for t, g in enumerate(grads, start=1):
+        if kind == "rmsprop":
+            v = decay * v + (1.0 - decay) * g * g
+            out.append(lr * g / (np.sqrt(v) + eps))
+        else:
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            out.append(lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+def test_updates_equal_out_of_place_formula(kind):
+    rng = np.random.default_rng(5)
+    grads = [rng.normal(size=(6, 5)) for _ in range(5)]
+    want = out_of_place_updates(kind, grads, lr=3e-3)
+    opt = Optimizer(kind, lr=3e-3)
+    for k, g in enumerate(grads):
+        if k == 3:
+            # a checkpoint round trip mid-run continues identically
+            back = Optimizer.from_dict(json.loads(json.dumps(opt.to_dict())))
+            assert np.array_equal(back.step("w", g), want[k])
+        upd = opt.step("w", g)
+        assert np.array_equal(upd, want[k]), k
+        # callers subtract the update in place or reuse its memory; that
+        # must not reach the optimizer's state
+        upd *= -7.0
 
 
 def test_buffers_are_per_name():
@@ -106,6 +144,17 @@ def test_nan_gradient_rejected_without_buffer_damage():
     assert np.allclose(upd, want, atol=1e-12, rtol=0.0)
 
 
+@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+def test_shape_mismatch_rejected_without_buffer_damage(kind):
+    opt = Optimizer(kind, lr=1e-3)
+    g = np.array([1.0, 2.0, 3.0])
+    opt.step("w", g)
+    before = json.dumps(opt.to_dict())
+    with pytest.raises(ShapeError):
+        opt.step("w", np.ones((3, 3)))
+    assert json.dumps(opt.to_dict()) == before
+
+
 def test_inf_gradient_rejected():
     opt = Optimizer("sgd", lr=1e-3)
     with pytest.raises(NumericError):
@@ -122,8 +171,6 @@ def test_unknown_kind_and_bad_lr():
 
 
 def test_serialization_round_trip():
-    import json
-
     opt = Optimizer("adam", lr=1e-3)
     rng = np.random.default_rng(0)
     for _ in range(3):

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ncgru.errors import ShapeError
+from ncgru.errors import NumericError, ShapeError
 from ncgru.linalg import exact_inverse, fro_dist_identity, spectral_norm
+from ncgru.optim import Optimizer
 from ncgru.orthocore import (
     SkewOrthogonal,
     cayley_transform,
@@ -83,6 +84,14 @@ def test_check_skew_accepts_and_rejects():
     bad[0, 1] += 1e-6
     with pytest.raises(ShapeError):
         check_skew(bad, "a")
+    # Non-finite entries: NaN compares false with any tolerance, and an
+    # antisymmetric +-Inf pair sums to NaN.
+    with pytest.raises(ShapeError):
+        check_skew(np.full((3, 3), np.nan), "m")
+    inf_pair = np.zeros((3, 3))
+    inf_pair[0, 1], inf_pair[1, 0] = np.inf, -np.inf
+    with pytest.raises(ShapeError):
+        check_skew(inf_pair, "m")
 
 
 def test_cayley_identity():
@@ -200,6 +209,11 @@ def test_neumann_step_rejects_non_skew_delta():
     bad[0, 1] = 1e-3
     with pytest.raises(ShapeError):
         sk.neumann_step(bad)
+    # A non-finite step is a numeric failure (training aborts on it), not
+    # a shape error.
+    for step in (sk.neumann_step, sk.exact_step):
+        with pytest.raises(NumericError):
+            step(np.full((4, 4), np.nan))
 
 
 def test_neumann_step_moves_a_opposite_to_delta():
@@ -222,6 +236,17 @@ def test_neumann_update_accuracy_small_step():
     true_inv = exact_inverse(np.eye(16) + sk.a)
     # Order 2 leaves O(||E||^3) truncation error, about 6e-11 here.
     assert np.max(np.abs(sk.a_tilde - true_inv)) < 1e-9
+
+
+def test_contraction_norm_exact_at_n256():
+    """The monitor on a real n=256 E = Atil @ dA (an Adam step on a pulled
+    back gradient) matches the SVD's top singular value."""
+    sk = SkewOrthogonal.create(256, seed=30, reset_every=0)
+    grad_u = np.random.default_rng(31).normal(size=(256, 256))
+    delta = Optimizer("adam", lr=1e-3).step("a", sk.grad_pullback(grad_u))
+    want = np.linalg.svd(sk.a_tilde @ delta, compute_uv=False)[0]
+    diag = sk.neumann_step(delta)
+    assert abs(diag.contraction_norm - want) <= 1e-13 * want
 
 
 def test_neumann_order_law():
@@ -322,6 +347,24 @@ def test_serialization_round_trip_bitwise():
     assert back.reset_every == sk.reset_every
     assert back.steps_since_reset == sk.steps_since_reset
     assert back.step == sk.step
+
+
+@pytest.mark.parametrize("edit", [
+    {"neumann_order": 7},
+    {"reset_every": -3},
+    {"d": [5.0, 1.0, 1.0, 1.0]},
+    {"d": [1.0, -1.0, 1.0]},
+    {"d": [1.0, -1.0, np.nan, 1.0]},
+    {"a": [[0.0, np.nan, 0.0, 0.0]] * 4},
+    {"a_tilde": np.eye(3).tolist()},
+    {"a_tilde": np.full((4, 4), np.inf).tolist()},
+])
+def test_from_dict_rejects_corrupt_state(edit):
+    blob = SkewOrthogonal.create(4, seed=25).to_dict()
+    SkewOrthogonal.from_dict(blob)
+    blob.update(edit)
+    with pytest.raises(ShapeError):
+        SkewOrthogonal.from_dict(blob)
 
 
 def test_skew_invariant_through_training_noise():
