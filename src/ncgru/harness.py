@@ -622,22 +622,41 @@ class Checkpoint:
     step: int
 
 
+def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
+    """A checkpoint array as float64, checked against like, the array
+    build_model makes in its place (None: the model has no such array)."""
+    if like is None:
+        raise ContractError(f"checkpoint has an unknown array {what}")
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != like.shape:
+        raise ContractError(f"checkpoint array {what} has shape {arr.shape}, "
+                            f"its config gives {like.shape}")
+    return arr
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Rebuild a run's state from save_checkpoint's file. Raises
+    ContractError when an array's name or shape does not fit the model
+    build_model makes from the stored config."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     if blob.get("format") != "ncgru-checkpoint-v1":
         raise ContractError(f"not an ncgru checkpoint: {path}")
     cfg = ExperimentConfig.from_dict(blob["config"])
     model = build_model(cfg)
+    built = dict(model.params.named_arrays())
     for name, arr in blob["params"].items():
-        setattr(model.params, name, np.asarray(arr, dtype=np.float64))
+        setattr(model.params, name, _stored_array(arr, built.get(name), f"params.{name}"))
+    if set(blob["skews"]) != set(cfg.model.ortho_set):
+        raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
+                            f"the config's ortho_set {list(cfg.model.ortho_set)}")
     model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
     # files written before the orthogonal weights left "params" list them
     # there too; the skew state is authoritative either way
     for name, skew in model.skews.items():
-        setattr(model.params, name, skew.u)
-    model.readout_w = np.asarray(blob["readout"]["w"], dtype=np.float64)
-    model.readout_b = np.asarray(blob["readout"]["b"], dtype=np.float64)
+        setattr(model.params, name, _stored_array(skew.u, built[name], f"skews.{name}"))
+    model.readout_w = _stored_array(blob["readout"]["w"], model.readout_w, "readout.w")
+    model.readout_b = _stored_array(blob["readout"]["b"], model.readout_b, "readout.b")
     opt = Optimizer.from_dict(blob["optimizer"])
     opt_a = Optimizer.from_dict(blob["optimizer_A"]) if blob["optimizer_A"] else None
     return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a,

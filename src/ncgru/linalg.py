@@ -1,13 +1,15 @@
 """Dense float64 kernels used everywhere else in the package.
 
 All routines take and return plain numpy arrays: vectors are 1-D, matrices
-2-D, row-major, float64. scipy's LU factorization backs the exact inverse
-so singularity is detected from the pivots rather than guessed from an
-exception. The spectral norm is exact: the square root of the top
-eigenvalue of the smaller Gram matrix (m^T m or m m^T), from one LAPACK
-symmetric eigensolve restricted to that eigenvalue. It agrees with the
-SVD's largest singular value to rounding, is not understated when the
-leading singular values are close, and draws no random numbers.
+2-D, row-major, float64. The inverse and the spectral norm call LAPACK
+directly through scipy.linalg.lapack. The exact inverse is an LU
+factorization (dgetrf) followed by LAPACK's inverse from those factors
+(dgetri), so singularity is detected from the pivots rather than guessed
+from an exception. The spectral norm is exact: the square root of the top
+eigenvalue of the smaller Gram matrix (m^T m or m m^T), from one
+symmetric eigensolve (dsyevr) restricted to that eigenvalue. It agrees
+with the SVD's largest singular value to rounding, is not understated
+when the leading singular values are close, and draws no random numbers.
 
 Every routine checks its result for NaN/Inf and raises NumericError rather
 than letting poisoned values propagate into a training run.
@@ -16,10 +18,9 @@ than letting poisoned values propagate into a training run.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigvalsh, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dsyevr, dsyevr_lwork
 
 from .errors import NumericError, ShapeError, SingularMatrixError
 
@@ -43,7 +44,8 @@ def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def exact_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert a square matrix via LU with partial pivoting.
+    """Invert a square matrix: LU with partial pivoting (LAPACK dgetrf),
+    then the inverse from those factors (dgetri, optimal workspace).
 
     Raises SingularMatrixError when any pivot falls below
     1e-14 * ||m||_F, i.e. when the matrix is singular to working precision.
@@ -55,16 +57,14 @@ def exact_inverse(m: np.ndarray) -> np.ndarray:
     scale = float(np.linalg.norm(m))
     if scale == 0.0:
         raise SingularMatrixError("zero matrix has no inverse")
-    # scipy warns on exact zero pivots; the pivot check below already turns
-    # that condition into SingularMatrixError, so the warning is redundant.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m, check_finite=False)
+    # dgetrf factors a copy (overwrite_a defaults to 0), so m is untouched
+    lu, piv, _ = dgetrf(m)
     if float(np.min(np.abs(np.diag(lu)))) < _PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"matrix singular to working precision (min pivot < {_PIVOT_RTOL:g} * ||m||)"
         )
-    inv = lu_solve((lu, piv), np.eye(m.shape[0]), check_finite=False)
+    lwork, _ = dgetri_lwork(m.shape[0])
+    inv, _ = dgetri(lu, piv, lwork=int(lwork), overwrite_lu=1)
     return ensure_finite(inv, "inverse")
 
 
@@ -86,8 +86,14 @@ def spectral_norm(m: np.ndarray) -> float:
     m = m / scale
     gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
     k = gram.shape[0]
-    top = eigvalsh(gram, subset_by_index=[k - 1, k - 1], check_finite=False)[0]
-    return scale * math.sqrt(top)
+    # the optimal workspace is what scipy.linalg.eigvalsh passes, so the
+    # eigenvalue matches it bit for bit without its argument handling
+    lwork, liwork, _ = dsyevr_lwork(k, lower=1)
+    w, _, _, _, info = dsyevr(gram, compute_v=0, range="I", il=k, iu=k, lower=1,
+                              lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise NumericError(f"symmetric eigensolve failed (LAPACK info={info})")
+    return scale * math.sqrt(w[0])
 
 
 def fro_dist_identity(m: np.ndarray) -> float:

@@ -3,7 +3,8 @@
 step() returns the update the caller subtracts, in a fresh array the
 caller may modify; the optimizer itself never touches parameter memory.
 Buffers are keyed by parameter name, created lazily, updated in place,
-and serialize to JSON for checkpoints.
+and serialize to JSON for checkpoints; construction, from_dict included,
+rejects buffers that do not fit the kind.
 
 All three updates act entrywise with symmetric functions of the gradient
 history, and epsilon is added inside the denominator, so a skew-symmetric
@@ -56,6 +57,28 @@ class Optimizer:
             raise ContractError(f"unknown optimizer {self.kind!r}, expected one of {_KINDS}")
         if self.lr <= 0:
             raise ContractError(f"learning rate must be positive, got {self.lr}")
+        self._check_state()
+
+    def _check_state(self) -> None:
+        """Raise ShapeError unless the buffers fit the kind: sgd keeps none,
+        rmsprop only v, adam m, v and t under the same names with m and v
+        of one shape; every buffer finite, v >= 0 and t >= 1."""
+        names = set(self._v)
+        want = {"sgd": (set(), set(), set()), "rmsprop": (set(), names, set()),
+                "adam": (names, names, names)}[self.kind]
+        if (set(self._m), names, set(self._t)) != want:
+            raise ShapeError(f"{self.kind} state with names m={sorted(self._m)}, "
+                             f"v={sorted(self._v)}, t={sorted(self._t)}")
+        for name, v in self._v.items():
+            m = self._m.get(name, v)  # rmsprop keeps no m
+            if m.shape != v.shape:
+                raise ShapeError(f"m{m.shape} and v{v.shape} of {name!r} differ in shape")
+            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+                raise ShapeError(f"non-finite optimizer state for {name!r}")
+            if np.any(v < 0):
+                raise ShapeError(f"negative second moment in the state of {name!r}")
+        if any(t < 1 for t in self._t.values()):
+            raise ShapeError(f"step counts must be >= 1, got {self._t}")
 
     def step(self, name: str, grad: np.ndarray) -> np.ndarray:
         """Update to subtract from the parameter registered under name.
@@ -110,9 +133,9 @@ class Optimizer:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Optimizer":
-        opt = cls(kind=blob["kind"], lr=blob["lr"], beta1=blob["beta1"],
-                  beta2=blob["beta2"], decay=blob["decay"], eps=blob["eps"])
-        opt._m = {k: np.asarray(v, dtype=np.float64) for k, v in blob["m"].items()}
-        opt._v = {k: np.asarray(v, dtype=np.float64) for k, v in blob["v"].items()}
-        opt._t = {k: int(v) for k, v in blob["t"].items()}
-        return opt
+        """Load to_dict's snapshot; corrupt state raises ShapeError."""
+        return cls(kind=blob["kind"], lr=blob["lr"], beta1=blob["beta1"],
+                   beta2=blob["beta2"], decay=blob["decay"], eps=blob["eps"],
+                   _m={k: np.asarray(v, dtype=np.float64) for k, v in blob["m"].items()},
+                   _v={k: np.asarray(v, dtype=np.float64) for k, v in blob["v"].items()},
+                   _t={k: int(v) for k, v in blob["t"].items()})

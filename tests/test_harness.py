@@ -20,6 +20,7 @@ from ncgru.harness import (
     run_gradcheck,
     run_training,
 )
+from ncgru.orthocore import SkewOrthogonal
 
 
 BASE_CFG = {
@@ -337,6 +338,28 @@ def test_checkpoint_old_and_new_layout_load_alike(tmp_path):
     assert np.array_equal(new.model.readout_w, old.model.readout_w)
     for name, skew in new.model.skews.items():
         assert np.array_equal(skew.a_tilde, old.model.skews[name].a_tilde)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b["params"].update(w_r=[[0.1, 0.2]]),          # shape (1, 2), not (8, 2)
+    lambda b: b["readout"].update(w=[[0.0] * 5]),            # (1, 5), not (1, 8)
+    lambda b: b["readout"].update(b=[[0.0] * 5]),            # (1, 5), not (1,)
+    lambda b: b["params"].update(bogus=[1.0]),               # no such parameter
+    lambda b: b["params"].update(b_c=[0.0] * 8),             # a GRU bias on NC-GRU
+    lambda b: b["skews"].pop("u_r"),                         # ortho_set names u_r
+    lambda b: b["skews"].update(u_u=b["skews"]["u_r"]),      # and not u_u
+    lambda b: b["skews"].update(u_c=SkewOrthogonal.create(4, seed=0).to_dict()),  # hidden is 8
+], ids=["param_shape", "readout_w_shape", "readout_b_shape", "unknown_param",
+        "other_variant_param", "missing_skew", "extra_skew", "skew_size"])
+def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    edit(blob)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_skews_recomputed_consistently(tmp_path):

@@ -38,9 +38,46 @@ def test_exact_inverse_two_sided():
 
 
 def test_exact_inverse_singular_raises():
+    # Exactly singular: LU meets a zero pivot. The pivot check must turn
+    # that into SingularMatrixError, with no warning on the way.
     m = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            exact_inverse(m)
+
+
+def test_exact_inverse_leaves_input_unchanged():
+    rng = np.random.default_rng(12)
+    # a leading zero forces a row swap, so the factorization really pivots
+    m = rng.normal(size=(7, 7)) + 7 * np.eye(7)
+    m[0, 0] = 0.0
+    want = exact_inverse(m.copy())
+    for arr in (np.ascontiguousarray(m), np.asfortranarray(m)):
+        before = arr.copy()
+        inv = exact_inverse(arr)
+        assert np.array_equal(arr, before)
+        assert inv is not arr
+        assert np.array_equal(inv, want)
+
+
+def test_exact_inverse_cayley_factor_n256():
+    # I + A with A skew, the matrix every orthogonal weight inverts.
+    n = 256
+    rng = np.random.default_rng(13)
+    g = rng.normal(size=(n, n))
+    m = np.eye(n) + (g - g.T) / 2.0
+    inv = exact_inverse(m)
+    eye = np.eye(n)
+    assert np.linalg.norm(m @ inv - eye, "fro") < 1e-10 * n
+    assert np.linalg.norm(inv @ m - eye, "fro") < 1e-10 * n
+
+
+def test_exact_inverse_1x1():
+    assert exact_inverse(np.array([[4.0]])).tolist() == [[0.25]]
+    assert exact_inverse(np.array([[-0.5]])).tolist() == [[-2.0]]
     with pytest.raises(SingularMatrixError):
-        exact_inverse(m)
+        exact_inverse(np.array([[0.0]]))
 
 
 def test_exact_inverse_zero_matrix_raises():
@@ -65,6 +102,22 @@ def test_spectral_norm_matches_eigensolve():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     m = q @ np.diag([1.0, 1.0 - 1e-7, 0.5, 0.25]) @ q.T
     assert abs(spectral_norm(m) - 1.0) <= 1e-12
+
+
+def test_spectral_norm_equals_eigvalsh_bitwise():
+    # The direct dsyevr call must reproduce scipy.linalg.eigvalsh on the
+    # same scaled Gram matrix exactly; at n >= 96 that depends on passing
+    # the workspace eigvalsh passes, since LAPACK's default one changes
+    # the tridiagonal reduction's blocking and with it the last bits.
+    rng = np.random.default_rng(25)
+    for n in (32, 96, 256):
+        for _ in range(4):
+            g = rng.normal(size=(n, n)) * 1e-3
+            m = g - g.T
+            scale = float(np.max(np.abs(m)))
+            s = m / scale
+            top = scipy.linalg.eigvalsh(s.T @ s, subset_by_index=[n - 1, n - 1])[0]
+            assert spectral_norm(m) == scale * np.sqrt(top)
 
 
 def test_spectral_norm_diagonal():

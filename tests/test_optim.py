@@ -182,3 +182,42 @@ def test_serialization_round_trip():
     u1 = opt.step("w", g)
     u2 = back.step("w", g)
     assert np.array_equal(u1, u2)
+
+
+def _stepped_blob(kind):
+    opt = Optimizer(kind, lr=1e-3)
+    for g in ([1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]):
+        opt.step("w", np.array(g))
+    return json.loads(json.dumps(opt.to_dict()))
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("adam", lambda b: b.update(t={})),                      # t lost for a buffered name
+    ("adam", lambda b: b["m"].pop("w")),                     # v without m
+    ("adam", lambda b: b["t"].update(x=2)),                  # t for an unbuffered name
+    ("adam", lambda b: b["m"].update(w=[0.1, 0.2, 0.3])),    # m and v shapes differ
+    ("adam", lambda b: b["m"].update(w=[float("nan"), 0.0])),
+    ("adam", lambda b: b["v"].update(w=[float("inf"), 1.0])),
+    ("adam", lambda b: b["v"].update(w=[-1.0, 5.0])),
+    ("adam", lambda b: b["t"].update(w=0)),
+    ("rmsprop", lambda b: b["m"].update(w=[0.0, 0.0])),      # rmsprop keeps no m
+    ("rmsprop", lambda b: b["t"].update(w=3)),               # nor t
+    ("rmsprop", lambda b: b["v"].update(w=[-1e-3, 1.0])),
+    ("sgd", lambda b: b["v"].update(w=[1.0, 1.0])),          # sgd keeps no buffer
+], ids=["adam_no_t", "adam_no_m", "adam_extra_t", "adam_m_v_shapes", "adam_nan_m",
+        "adam_inf_v", "adam_negative_v", "adam_t_zero", "rmsprop_m", "rmsprop_t",
+        "rmsprop_negative_v", "sgd_v"])
+def test_from_dict_rejects_corrupt_state(kind, edit):
+    blob = _stepped_blob(kind)
+    Optimizer.from_dict(blob)  # the unedited state loads
+    edit(blob)
+    with pytest.raises(ShapeError):
+        Optimizer.from_dict(blob)
+
+
+def test_from_dict_accepts_fresh_and_stepped_state():
+    for kind in ("sgd", "rmsprop", "adam"):
+        fresh = Optimizer(kind, lr=1e-3).to_dict()
+        assert Optimizer.from_dict(fresh).to_dict() == fresh
+        stepped = _stepped_blob(kind)
+        assert Optimizer.from_dict(stepped).to_dict() == stepped
