@@ -50,6 +50,17 @@ already updated.
 The metrics CSV must be byte-identical across reruns of the same config
 and seed, so its wall_ms column is pinned to 0; measured per-iteration
 times go to a timing.csv sidecar next to it.
+
+Every artifact (metrics.csv, timing.csv, config.json, checkpoint.json,
+an ablation's summary.json) is written to a temporary file in its
+directory and then renamed over the old one, so a process that dies
+mid-write leaves the earlier file whole. Nothing is fsynced: this does
+not guard against a power loss.
+
+A checkpoint is one JSON document tagged ncgru-checkpoint-v2 in which
+every float64 array is an ncgru.codec record, base64 of its
+little-endian bytes plus its shape, so a load gives back the same bits.
+v1 files, which hold the arrays as decimal lists, still load.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -65,6 +77,7 @@ import numpy as np
 from . import tasks
 from .cells import (CellParams, FinalStateMse, cell_backward, cell_forward,
                     sequence_bptt, sequence_forward)
+from .codec import decode, encode, reading
 from .errors import ConfigError, ContractError, NumericError
 from .optim import _KINDS, Optimizer
 from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
@@ -77,6 +90,7 @@ _EVAL_SEED = 1
 _BATCH_SEED_BASE = 2
 
 METRICS_HEADER = "step,train_loss,eval_loss,drift,contraction_norm,wall_ms"
+_FORMAT = "ncgru-checkpoint-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +559,12 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
         run.out_dir = out_dir
         run.metrics_path = os.path.join(out_dir, "metrics.csv")
         write_metrics_csv(metrics, run.metrics_path)
-        with open(os.path.join(out_dir, "timing.csv"), "w", encoding="utf-8") as fh:
+        with _replacing(os.path.join(out_dir, "timing.csv")) as fh:
             fh.write("step,wall_ms\n")
             for step, ms in timings:
                 fh.write(f"{step},{ms}\n")
-        with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "config.json"), cfg.to_dict(),
+                    indent=2, sort_keys=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.json")
         if status == "completed":
             run.checkpoint_path = checkpoint_path
@@ -563,10 +576,33 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
     return run
 
 
+@contextmanager
+def _replacing(path):
+    """Text file handle whose content replaces path when the block ends.
+    It writes path + ".tmp" and renames that over path, so an error or a
+    crash mid-write leaves the earlier file whole; the temporary file is
+    removed on an error. No fsync: a power loss can still lose the file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_json(path, blob, **dump_kwargs) -> None:
+    with _replacing(path) as fh:
+        json.dump(blob, fh, **dump_kwargs)
+        fh.write("\n")
+
+
 def write_metrics_csv(metrics, path) -> None:
     lines = [METRICS_HEADER]
     lines.extend(row.to_csv_row() for row in metrics)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -593,24 +629,24 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 def save_checkpoint(path, cfg: ExperimentConfig, model: Model,
                     opt: Optimizer, opt_a: Optimizer | None, step: int) -> None:
-    """JSON snapshot of everything a run mutates. Floats go through
-    Python's shortest round-trip repr, so load -> save reproduces the
-    file byte for byte. An orthogonal weight is stored once, as its skew
-    state; load_checkpoint rebuilds it from there bit for bit."""
+    """JSON snapshot of everything a run mutates, tagged
+    ncgru-checkpoint-v2. json.dump streams it and encodes each float64
+    array as a codec record only when it reaches that array, so the
+    bytes are stored exactly and load -> save reproduces the file byte
+    for byte. An orthogonal weight is stored once, as its skew state;
+    load_checkpoint rebuilds it from there bit for bit."""
     blob = {
-        "format": "ncgru-checkpoint-v1",
+        "format": _FORMAT,
         "step": step,
         "config": cfg.to_dict(),
-        "params": {name: arr.tolist() for name, arr in model.params.named_arrays()
+        "params": {name: arr for name, arr in model.params.named_arrays()
                    if name not in model.skews},
         "skews": {name: skew.to_dict() for name, skew in model.skews.items()},
-        "readout": {"w": model.readout_w.tolist(), "b": model.readout_b.tolist()},
+        "readout": {"w": model.readout_w, "b": model.readout_b},
         "optimizer": opt.to_dict(),
         "optimizer_A": opt_a.to_dict() if opt_a is not None else None,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(blob, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, blob, indent=1, default=encode)
 
 
 @dataclass
@@ -623,11 +659,12 @@ class Checkpoint:
 
 
 def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
-    """A checkpoint array as float64, checked against like, the array
-    build_model makes in its place (None: the model has no such array)."""
+    """A checkpoint array (a codec record or a v1 list, decoded; an array
+    already rebuilt, as is) checked against like, the array build_model
+    makes in its place (None: the model has no such array)."""
     if like is None:
         raise ContractError(f"checkpoint has an unknown array {what}")
-    arr = np.asarray(value, dtype=np.float64)
+    arr = value if isinstance(value, np.ndarray) else decode(value, what)
     if arr.shape != like.shape:
         raise ContractError(f"checkpoint array {what} has shape {arr.shape}, "
                             f"its config gives {like.shape}")
@@ -635,32 +672,34 @@ def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a run's state from save_checkpoint's file. Raises
-    ContractError when an array's name or shape does not fit the model
-    build_model makes from the stored config."""
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != "ncgru-checkpoint-v1":
-        raise ContractError(f"not an ncgru checkpoint: {path}")
-    cfg = ExperimentConfig.from_dict(blob["config"])
-    model = build_model(cfg)
-    built = dict(model.params.named_arrays())
-    for name, arr in blob["params"].items():
-        setattr(model.params, name, _stored_array(arr, built.get(name), f"params.{name}"))
-    if set(blob["skews"]) != set(cfg.model.ortho_set):
-        raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
-                            f"the config's ortho_set {list(cfg.model.ortho_set)}")
-    model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
-    # files written before the orthogonal weights left "params" list them
-    # there too; the skew state is authoritative either way
-    for name, skew in model.skews.items():
-        setattr(model.params, name, _stored_array(skew.u, built[name], f"skews.{name}"))
-    model.readout_w = _stored_array(blob["readout"]["w"], model.readout_w, "readout.w")
-    model.readout_b = _stored_array(blob["readout"]["b"], model.readout_b, "readout.b")
-    opt = Optimizer.from_dict(blob["optimizer"])
-    opt_a = Optimizer.from_dict(blob["optimizer_A"]) if blob["optimizer_A"] else None
-    return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a,
-                      step=int(blob["step"]))
+    """Rebuild a run's state from save_checkpoint's file, v2 or v1.
+    Raises ContractError when the file is not such a checkpoint, misses a
+    section or holds a malformed entry, or when an array's name or shape
+    does not fit the model build_model makes from the stored config."""
+    with reading(f"checkpoint {path}"):
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+        if blob.get("format") not in (_FORMAT, "ncgru-checkpoint-v1"):
+            raise ContractError(f"not an ncgru checkpoint: {path}")
+        cfg = ExperimentConfig.from_dict(blob["config"])
+        model = build_model(cfg)
+        built = dict(model.params.named_arrays())
+        for name, arr in blob["params"].items():
+            setattr(model.params, name, _stored_array(arr, built.get(name), f"params.{name}"))
+        if set(blob["skews"]) != set(cfg.model.ortho_set):
+            raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
+                                f"the config's ortho_set {list(cfg.model.ortho_set)}")
+        model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
+        # files written before the orthogonal weights left "params" list them
+        # there too; the skew state is authoritative either way
+        for name, skew in model.skews.items():
+            setattr(model.params, name, _stored_array(skew.u, built[name], f"skews.{name}"))
+        model.readout_w = _stored_array(blob["readout"]["w"], model.readout_w, "readout.w")
+        model.readout_b = _stored_array(blob["readout"]["b"], model.readout_b, "readout.b")
+        opt = Optimizer.from_dict(blob["optimizer"])
+        opt_a = Optimizer.from_dict(blob["optimizer_A"]) if blob["optimizer_A"] else None
+        return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a,
+                          step=int(blob["step"]))
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +751,8 @@ def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
                            "max_drift": run.max_drift,
                            "max_contraction": run.max_contraction}
                    for label, run in results}
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "summary.json"), summary,
+                    indent=2, sort_keys=True)
     return results
 
 

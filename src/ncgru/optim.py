@@ -3,8 +3,8 @@
 step() returns the update the caller subtracts, in a fresh array the
 caller may modify; the optimizer itself never touches parameter memory.
 Buffers are keyed by parameter name, created lazily, updated in place,
-and serialize to JSON for checkpoints; construction, from_dict included,
-rejects buffers that do not fit the kind.
+and serialize to JSON for checkpoints through ncgru.codec; construction,
+from_dict included, rejects buffers that do not fit the kind.
 
 All three updates act entrywise with symmetric functions of the gradient
 history, and epsilon is added inside the denominator, so a skew-symmetric
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import decode, reading
 from .errors import ContractError, NumericError, ShapeError
 
 _KINDS = ("sgd", "rmsprop", "adam")
@@ -119,6 +120,9 @@ class Optimizer:
         return upd
 
     def to_dict(self) -> dict:
+        """Snapshot for json.dump(..., default=codec.encode). The m and v
+        arrays are the live buffers, which the next step updates in place,
+        so serialize the snapshot before stepping again."""
         return {
             "kind": self.kind,
             "lr": self.lr,
@@ -126,16 +130,19 @@ class Optimizer:
             "beta2": self.beta2,
             "decay": self.decay,
             "eps": self.eps,
-            "m": {k: v.tolist() for k, v in self._m.items()},
-            "v": {k: v.tolist() for k, v in self._v.items()},
+            "m": dict(self._m),
+            "v": dict(self._v),
             "t": dict(self._t),
         }
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Optimizer":
-        """Load to_dict's snapshot; corrupt state raises ShapeError."""
-        return cls(kind=blob["kind"], lr=blob["lr"], beta1=blob["beta1"],
-                   beta2=blob["beta2"], decay=blob["decay"], eps=blob["eps"],
-                   _m={k: np.asarray(v, dtype=np.float64) for k, v in blob["m"].items()},
-                   _v={k: np.asarray(v, dtype=np.float64) for k, v in blob["v"].items()},
-                   _t={k: int(v) for k, v in blob["t"].items()})
+        """Load to_dict's snapshot, or its JSON form; corrupt state raises
+        ShapeError, a missing key or a malformed entry ContractError."""
+        with reading("optimizer state"):
+            return cls(kind=blob["kind"], lr=float(blob["lr"]), beta1=float(blob["beta1"]),
+                       beta2=float(blob["beta2"]), decay=float(blob["decay"]),
+                       eps=float(blob["eps"]),
+                       _m={k: decode(v, f"m[{k!r}]") for k, v in blob["m"].items()},
+                       _v={k: decode(v, f"v[{k!r}]") for k, v in blob["v"].items()},
+                       _t={k: int(v) for k, v in blob["t"].items()})

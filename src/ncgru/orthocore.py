@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import decode, reading
 from .errors import ShapeError
 from .linalg import ensure_finite, exact_inverse, fro_dist_identity, spectral_norm
 
@@ -261,12 +262,13 @@ class SkewOrthogonal:
         return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(), step=self.step)
 
     def to_dict(self) -> dict:
-        """JSON-ready snapshot. u is rederived on load from a_tilde, a, d,
-        which reproduces it bit for bit."""
+        """Snapshot for json.dump(..., default=codec.encode), which stores
+        each array as its float64 bytes. u is left out: from_dict rederives
+        it from a_tilde, a and d, bit for bit."""
         return {
-            "a": self.a.tolist(),
-            "d": self.d.tolist(),
-            "a_tilde": self.a_tilde.tolist(),
+            "a": self.a,
+            "d": self.d,
+            "a_tilde": self.a_tilde,
             "neumann_order": self.neumann_order,
             "reset_every": self.reset_every,
             "steps_since_reset": self.steps_since_reset,
@@ -275,12 +277,16 @@ class SkewOrthogonal:
 
     @classmethod
     def from_dict(cls, blob: dict) -> "SkewOrthogonal":
-        return cls(
-            a=np.asarray(blob["a"], dtype=np.float64),
-            d=np.asarray(blob["d"], dtype=np.float64),
-            a_tilde=np.asarray(blob["a_tilde"], dtype=np.float64),
-            neumann_order=int(blob["neumann_order"]),
-            reset_every=int(blob["reset_every"]),
-            steps_since_reset=int(blob["steps_since_reset"]),
-            step=int(blob["step"]),
-        )
+        """Load to_dict's snapshot, or its JSON form; state that breaks the
+        construction rules raises ShapeError, a missing key or a malformed
+        entry ContractError."""
+        with reading("skew state"):
+            return cls(
+                a=decode(blob["a"], "a"),
+                d=decode(blob["d"], "d"),
+                a_tilde=decode(blob["a_tilde"], "a_tilde"),
+                neumann_order=int(blob["neumann_order"]),
+                reset_every=int(blob["reset_every"]),
+                steps_since_reset=int(blob["steps_since_reset"]),
+                step=int(blob["step"]),
+            )

@@ -4,12 +4,14 @@ ablations, gradient checks, and the CLI entry point."""
 import copy
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncgru.cli import main
+from ncgru.codec import decode, encode
 from ncgru.errors import ConfigError, ContractError
 from ncgru.harness import (
     ExperimentConfig,
@@ -19,6 +21,7 @@ from ncgru.harness import (
     run_ablation,
     run_gradcheck,
     run_training,
+    save_checkpoint,
 )
 from ncgru.orthocore import SkewOrthogonal
 
@@ -308,44 +311,123 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     ck = load_checkpoint(path)
     assert ck.step == 4
     assert ck.config == run.config
-    # Save the loaded state and compare bytes: repr round-trip is lossless.
-    from ncgru.harness import save_checkpoint
-
+    # Save the loaded state and compare bytes: the arrays' bytes are stored.
     again = tmp_path / "again.json"
     save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.optimizer_a,
                     step=ck.step)
     assert again.read_bytes() == path.read_bytes()
 
 
+def as_v1(blob):
+    """blob with every f8 record turned back into decimal lists and the v1
+    tag: the layout checkpoints had before arrays were stored as bytes."""
+    def lists(value):
+        if isinstance(value, dict) and set(value) == {"f8", "shape"}:
+            return decode(value, "record").tolist()
+        if isinstance(value, dict):
+            return {key: lists(item) for key, item in value.items()}
+        return value
+    return {**lists(blob), "format": "ncgru-checkpoint-v1"}
+
+
+def assert_same_state(a, b):
+    for (name, x), (_, y) in zip(a.model.params.named_arrays(), b.model.params.named_arrays()):
+        assert np.array_equal(x, y), name
+    for name, skew in a.model.skews.items():
+        other = b.model.skews[name]
+        for field in ("a", "d", "a_tilde", "u"):
+            assert np.array_equal(getattr(skew, field), getattr(other, field)), (name, field)
+        assert (skew.step, skew.steps_since_reset) == (other.step, other.steps_since_reset)
+    assert np.array_equal(a.model.readout_w, b.model.readout_w)
+    assert np.array_equal(a.model.readout_b, b.model.readout_b)
+    for opt, other in ((a.optimizer, b.optimizer), (a.optimizer_a, b.optimizer_a)):
+        assert set(opt._m) == set(other._m) and set(opt._v) == set(other._v)
+        assert all(np.array_equal(m, other._m[k]) for k, m in opt._m.items())
+        assert all(np.array_equal(v, other._v[k]) for k, v in opt._v.items())
+        assert opt._t == other._t
+    assert (a.config, a.step) == (b.config, b.step)
+
+
+def three_ortho_checkpoint(tmp_path, hidden=8):
+    blob = make_cfg(**{"model.ortho_set": ["U_r", "U_u", "U_c"], "model.hidden": hidden})
+    run_training(ExperimentConfig.from_dict(blob), out_dir=str(tmp_path / "out"))
+    return tmp_path / "out" / "checkpoint.json"
+
+
 def test_checkpoint_old_and_new_layout_load_alike(tmp_path):
     # A checkpoint stores each orthogonal weight once, as its skew state; a
-    # file that also lists the weight under "params" (the earlier layout)
-    # must load to the same state.
-    blob = make_cfg(**{"model.ortho_set": ["U_r", "U_u", "U_c"]})
-    cfg = ExperimentConfig.from_dict(blob)
-    run_training(cfg, out_dir=str(tmp_path / "out"))
-    new_path = tmp_path / "out" / "checkpoint.json"
+    # v1 file that also lists the weight under "params" (the layout before
+    # that) must load to the same state.
+    new_path = three_ortho_checkpoint(tmp_path)
     saved = json.loads(new_path.read_text())
-    assert set(saved["params"]).isdisjoint(cfg.model.ortho_set)
+    assert saved["format"] == "ncgru-checkpoint-v2"
+    assert set(saved["params"]).isdisjoint(["u_r", "u_u", "u_c"])
     new = load_checkpoint(new_path)
-    saved["params"] = {name: arr.tolist() for name, arr in new.model.params.named_arrays()}
+    old_blob = as_v1(saved)
+    old_blob["params"] = {name: arr.tolist() for name, arr in new.model.params.named_arrays()}
     old_path = tmp_path / "old.json"
-    old_path.write_text(json.dumps(saved, indent=1) + "\n")
-    old = load_checkpoint(old_path)
-    for (name, a), (_, b) in zip(new.model.params.named_arrays(),
-                                 old.model.params.named_arrays()):
-        assert np.array_equal(a, b), name
-    assert np.array_equal(new.model.readout_w, old.model.readout_w)
-    for name, skew in new.model.skews.items():
-        assert np.array_equal(skew.a_tilde, old.model.skews[name].a_tilde)
+    old_path.write_text(json.dumps(old_blob, indent=1) + "\n")
+    assert_same_state(new, load_checkpoint(old_path))
+
+
+def test_v1_checkpoint_loads_to_same_arrays(tmp_path):
+    # both optimizers are Adam with buffers, so every section is compared
+    path = three_ortho_checkpoint(tmp_path)
+    v1_path = tmp_path / "v1.json"
+    v1_path.write_text(json.dumps(as_v1(json.loads(path.read_text())), indent=1) + "\n")
+    v2, v1 = load_checkpoint(path), load_checkpoint(v1_path)
+    assert v2.optimizer_a._m and v2.optimizer._m
+    assert_same_state(v2, v1)
+
+
+@pytest.mark.parametrize("layout", ["v2", "v1"])
+def test_checkpoint_keeps_special_values_bit_for_bit(tmp_path, layout):
+    path = three_ortho_checkpoint(tmp_path)
+    ck = load_checkpoint(path)
+    special = np.array([-0.0, 5e-324, 1e308, -1e308])
+    ck.model.readout_w[0, :4] = special
+    save_checkpoint(path, ck.config, ck.model, ck.optimizer, ck.optimizer_a, step=ck.step)
+    if layout == "v1":
+        path.write_text(json.dumps(as_v1(json.loads(path.read_text()))))
+    back = load_checkpoint(path).model.readout_w
+    assert back[0, :4].view(np.uint64).tolist() == special.view(np.uint64).tolist()
+    assert np.array_equal(back.view(np.uint64), ck.model.readout_w.view(np.uint64))
+
+
+def test_checkpoint_size_is_near_raw_bytes(tmp_path):
+    # base64 is 4/3 of the raw float64 bytes; decimal lists take ~3x
+    path = three_ortho_checkpoint(tmp_path, hidden=64)
+    ck = load_checkpoint(path)
+    stored = [arr for name, arr in ck.model.params.named_arrays() if name not in ck.model.skews]
+    stored += [arr for skew in ck.model.skews.values() for arr in (skew.a, skew.d, skew.a_tilde)]
+    stored += [ck.model.readout_w, ck.model.readout_b]
+    for opt in (ck.optimizer, ck.optimizer_a):
+        stored += [*opt._m.values(), *opt._v.values()]
+    entries = sum(arr.size for arr in stored)
+    assert entries > 12 * 64 * 64
+    assert path.stat().st_size <= 1.4 * 8 * entries + 64 * 1024
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
+    path = three_ortho_checkpoint(tmp_path)
+    before = path.read_bytes()
+    names = sorted(os.listdir(path.parent))
+    ck = load_checkpoint(path)
+    # the readout comes after params and skews, so json.dump has written
+    # part of the file when the encoder rejects it
+    ck.model.readout_b = {"not": {"an", "array"}}
+    with pytest.raises(TypeError):
+        save_checkpoint(path, ck.config, ck.model, ck.optimizer, ck.optimizer_a, step=9)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(path.parent)) == names
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b["params"].update(w_r=[[0.1, 0.2]]),          # shape (1, 2), not (8, 2)
-    lambda b: b["readout"].update(w=[[0.0] * 5]),            # (1, 5), not (1, 8)
-    lambda b: b["readout"].update(b=[[0.0] * 5]),            # (1, 5), not (1,)
-    lambda b: b["params"].update(bogus=[1.0]),               # no such parameter
-    lambda b: b["params"].update(b_c=[0.0] * 8),             # a GRU bias on NC-GRU
+    lambda b: b["params"].update(w_r=np.array([[0.1, 0.2]])),  # shape (1, 2), not (8, 2)
+    lambda b: b["readout"].update(w=np.zeros((1, 5))),         # (1, 5), not (1, 8)
+    lambda b: b["readout"].update(b=np.zeros((1, 5))),         # (1, 5), not (1,)
+    lambda b: b["params"].update(bogus=np.ones(1)),            # no such parameter
+    lambda b: b["params"].update(b_c=np.zeros(8)),             # a GRU bias on NC-GRU
     lambda b: b["skews"].pop("u_r"),                         # ortho_set names u_r
     lambda b: b["skews"].update(u_u=b["skews"]["u_r"]),      # and not u_u
     lambda b: b["skews"].update(u_c=SkewOrthogonal.create(4, seed=0).to_dict()),  # hidden is 8
@@ -357,7 +439,41 @@ def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
     edit(blob)
     path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob, default=encode))
+    with pytest.raises(ContractError, match="has shape|unknown array|ortho_set"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.pop("readout"),
+    lambda b: b.pop("optimizer_A"),
+    lambda b: b.pop("skews"),
+    lambda b: b.pop("format"),
+    lambda b: b["skews"]["u_r"].update(a="x"),
+    lambda b: b["params"]["w_r"].update(f8="AAAA*AAA"),
+    lambda b: b["params"]["w_r"].update(f8=encode(np.zeros(15))["f8"]),  # w_r is 8x2
+    lambda b: b["params"]["w_r"].update(shape=[8, 2.0]),
+    lambda b: b["params"]["w_r"].update(shape=[-8, -2]),
+    lambda b: b["readout"].update(w={"f8": "", "shape": [0], "dtype": "f4"}),
+], ids=["no_readout", "no_optimizer_A", "no_skews", "no_format", "skew_a_string",
+        "bad_base64", "byte_length", "float_shape", "negative_shape", "extra_key"])
+def test_load_checkpoint_rejects_malformed_file(tmp_path, edit):
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    edit(blob)
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(blob))
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_non_json(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    path.write_text('{"format": "ncgru-checkpoint-v2", ')
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
+    path.write_text("[1, 2]")
     with pytest.raises(ContractError):
         load_checkpoint(path)
 

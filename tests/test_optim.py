@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from ncgru.codec import encode
 from ncgru.errors import ContractError, NumericError, ShapeError
 from ncgru.optim import Optimizer
+
+
+def as_json(opt):
+    """The optimizer's snapshot as a checkpoint stores it."""
+    return json.loads(json.dumps(opt.to_dict(), default=encode))
 
 
 def skew(n, seed):
@@ -84,7 +90,7 @@ def test_updates_equal_out_of_place_formula(kind):
     for k, g in enumerate(grads):
         if k == 3:
             # a checkpoint round trip mid-run continues identically
-            back = Optimizer.from_dict(json.loads(json.dumps(opt.to_dict())))
+            back = Optimizer.from_dict(as_json(opt))
             assert np.array_equal(back.step("w", g), want[k])
         upd = opt.step("w", g)
         assert np.array_equal(upd, want[k]), k
@@ -149,10 +155,10 @@ def test_shape_mismatch_rejected_without_buffer_damage(kind):
     opt = Optimizer(kind, lr=1e-3)
     g = np.array([1.0, 2.0, 3.0])
     opt.step("w", g)
-    before = json.dumps(opt.to_dict())
+    before = as_json(opt)
     with pytest.raises(ShapeError):
         opt.step("w", np.ones((3, 3)))
-    assert json.dumps(opt.to_dict()) == before
+    assert as_json(opt) == before
 
 
 def test_inf_gradient_rejected():
@@ -176,8 +182,7 @@ def test_serialization_round_trip():
     for _ in range(3):
         opt.step("w", rng.normal(size=(3, 3)))
         opt.step("b", rng.normal(size=3))
-    blob = json.loads(json.dumps(opt.to_dict()))
-    back = Optimizer.from_dict(blob)
+    back = Optimizer.from_dict(as_json(opt))
     g = rng.normal(size=(3, 3))
     u1 = opt.step("w", g)
     u2 = back.step("w", g)
@@ -188,7 +193,7 @@ def _stepped_blob(kind):
     opt = Optimizer(kind, lr=1e-3)
     for g in ([1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]):
         opt.step("w", np.array(g))
-    return json.loads(json.dumps(opt.to_dict()))
+    return as_json(opt)
 
 
 @pytest.mark.parametrize("kind,edit", [
@@ -220,4 +225,30 @@ def test_from_dict_accepts_fresh_and_stepped_state():
         fresh = Optimizer(kind, lr=1e-3).to_dict()
         assert Optimizer.from_dict(fresh).to_dict() == fresh
         stepped = _stepped_blob(kind)
-        assert Optimizer.from_dict(stepped).to_dict() == stepped
+        assert as_json(Optimizer.from_dict(stepped)) == stepped
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.pop("kind"),
+    lambda b: b.pop("m"),
+    lambda b: b.update(t=[3]),                                 # t must map names
+    lambda b: b["v"].update(w="x"),
+    lambda b: b["m"].update(w=[0.5, "x"]),
+    lambda b: b["m"].update(w=[0.5, "0.5"]),                  # a v1 list with a string
+    lambda b: b["v"].update(w=[None, 1.0]),                    # or a null
+    lambda b: b["t"].update(w="x"),
+    lambda b: b.update(beta1="x"),
+    lambda b: b["v"]["w"].update(f8="not base64!"),
+    lambda b: b["v"]["w"].update(f8=encode(np.ones(3))["f8"]),  # 24 bytes for shape [2]
+    lambda b: b["v"]["w"].update(shape=[2.0]),
+    lambda b: b["v"]["w"].update(shape=[-2]),
+    lambda b: b["v"]["w"].pop("shape"),
+], ids=["no_kind", "no_m", "t_list", "v_string", "m_entry_string",
+        "m_numeric_string", "v_null", "t_string",
+        "beta1_string", "bad_base64", "byte_length", "float_shape", "negative_shape", "no_shape"])
+def test_from_dict_rejects_malformed_blob(edit):
+    blob = _stepped_blob("adam")
+    Optimizer.from_dict(blob)
+    edit(blob)
+    with pytest.raises(ContractError):
+        Optimizer.from_dict(blob)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ncgru.errors import NumericError, ShapeError
+from ncgru.codec import encode
+from ncgru.errors import ContractError, NumericError, ShapeError
 from ncgru.linalg import exact_inverse, fro_dist_identity, spectral_norm
 from ncgru.optim import Optimizer
 from ncgru.orthocore import (
@@ -337,7 +338,7 @@ def test_serialization_round_trip_bitwise():
         sk.neumann_step(delta)
     blob = sk.to_dict()
     # The dict must survive JSON text round-tripping without precision loss.
-    blob = json.loads(json.dumps(blob))
+    blob = json.loads(json.dumps(blob, default=encode))
     back = SkewOrthogonal.from_dict(blob)
     assert np.array_equal(back.a, sk.a)
     assert np.array_equal(back.d, sk.d)
@@ -364,6 +365,26 @@ def test_from_dict_rejects_corrupt_state(edit):
     SkewOrthogonal.from_dict(blob)
     blob.update(edit)
     with pytest.raises(ShapeError):
+        SkewOrthogonal.from_dict(blob)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.pop("a_tilde"),
+    lambda b: b.pop("step"),
+    lambda b: b.update(a="x"),
+    lambda b: b.update(step="x"),
+    lambda b: b["a"].update(f8="@@@@"),
+    lambda b: b["a"].update(f8=encode(np.zeros(15))["f8"]),  # 120 bytes for shape [4, 4]
+    lambda b: b["a"].update(shape=[4, "4"]),
+    lambda b: b["a"].update(shape=[-4, -4]),
+    lambda b: b["d"].update(shape=[True] * 4),
+], ids=["no_a_tilde", "no_step", "a_string", "step_string", "bad_base64",
+        "byte_length", "string_shape", "negative_shape", "bool_shape"])
+def test_from_dict_rejects_malformed_blob(edit):
+    blob = json.loads(json.dumps(SkewOrthogonal.create(4, seed=25).to_dict(), default=encode))
+    SkewOrthogonal.from_dict(blob)
+    edit(blob)
+    with pytest.raises(ContractError):
         SkewOrthogonal.from_dict(blob)
 
 
