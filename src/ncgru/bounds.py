@@ -62,11 +62,11 @@ class BoundReport:
 def compute_bound(p: CellParams, cache: StepCache) -> BoundReport:
     """Evaluate the Jacobian bound and the measured norm at one step.
 
-    The cache must come from an unbatched forward call. All norms are exact
-    (linalg.spectral_norm), so a negative slack is a real bound violation.
+    The cache must hold one column (B = 1); jacobian_h rejects any other.
+    All norms are exact (linalg.spectral_norm), so a negative slack is a
+    real bound violation.
     """
-    if cache.batched:
-        raise ContractError("compute_bound needs an unbatched cache (single example)")
+    jac = jacobian_h(p, cache)
     h = cache.h_prev[:, 0]
     r = cache.r_t[:, 0]
     u = cache.u_t[:, 0]
@@ -82,7 +82,6 @@ def compute_bound(p: CellParams, cache: StepCache) -> BoundReport:
     beta = float(np.max(u)) * (delta_r * n_ur * float(np.max(h)) + float(np.max(r)))
     bound = alpha + beta * n_uc
 
-    jac = jacobian_h(p, cache)
     measured = spectral_norm(jac.matrix)
     sat = float(max(np.max(np.minimum(r, 1.0 - r)), np.max(np.minimum(u, 1.0 - u))))
     return BoundReport(
@@ -153,8 +152,8 @@ def saturation_sweep(p: CellParams, regime: str, samples: int, seed: int,
     for _ in range(samples):
         b_u, b_r = _forced_biases(regime, p.n, force, rng)
         forced = replace(p, b_r=b_r, b_u=b_u)
-        x = rng.uniform(-1.0, 1.0, p.m)
-        h = rng.uniform(-1.0, 1.0, p.n)
+        x = rng.uniform(-1.0, 1.0, (p.m, 1))
+        h = rng.uniform(-1.0, 1.0, (p.n, 1))
         _, cache = cell_forward(forced, x, h)
         reports.append(compute_bound(forced, cache))
     ab = np.array([rep.alpha + rep.beta for rep in reports])

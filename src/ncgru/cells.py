@@ -20,10 +20,11 @@ whose per-entry bias b plays the role the additive bias played for tanh.
 modReLU preserves the norm direction of its input, which is what lets an
 orthogonal U_c carry signal across long horizons without squashing it.
 
-State convention: column vectors. A hidden state is (n,) or, batched,
-(n, B) with examples in columns. h_0 is always the zero vector. All
-activations of a step are cached on the way forward so the backward pass
-is a pure function of (params, cache, incoming gradient).
+State convention: columns. An input is (m, B) and a hidden state (n, B),
+one example per column; a single example is B = 1, and a 1-D vector is a
+ShapeError. h_0 is always the zero state. All activations of a step are
+cached on the way forward so the backward pass is a pure function of
+(params, cache, incoming gradient).
 
 The backward pass and the analytic one-step Jacobian
 d h_t / d h_{t-1} are derived by hand from the equations above; finite
@@ -126,12 +127,10 @@ def _zeros_like(p: CellParams) -> CellParams:
 
 @dataclass
 class StepCache:
-    """Everything the backward pass needs about one forward step.
-
-    Arrays are stored as columns (n, B) even when the caller passed
-    vectors; batched records which convention the caller used. variant
-    tags which forward produced the cache so a mismatched backward is
-    rejected instead of silently using the wrong candidate slope.
+    """Everything the backward pass needs about one forward step, as
+    (rows, B) columns. variant tags which forward produced the cache so a
+    mismatched backward is rejected instead of silently using the wrong
+    candidate slope.
     """
 
     x_t: np.ndarray
@@ -143,30 +142,19 @@ class StepCache:
     u_t: np.ndarray
     c_t: np.ndarray
     h_t: np.ndarray
-    batched: bool
     variant: str
-
-
-def _columns(v: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return v[:, None], False
-    if v.ndim == 2:
-        return v, True
-    raise ShapeError(f"{what} must be 1-D or 2-D, got ndim={v.ndim}")
 
 
 def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
                  ) -> tuple[np.ndarray, StepCache]:
     """One step of the cell named by p.variant.
 
-    x_t is (m,) or (m, B), h_prev is (n,) or (n, B) with matching
-    batchedness; returns h_t in the caller's convention plus the cache.
+    x_t is (m, B) and h_prev is (n, B); returns h_t (n, B) and the cache.
     """
-    x, bx = _columns(x_t, "x_t")
-    h, bh = _columns(h_prev, "h_prev")
-    if bx != bh:
-        raise ShapeError("x_t and h_prev must both be vectors or both be batched")
+    x = np.asarray(x_t, dtype=np.float64)
+    h = np.asarray(h_prev, dtype=np.float64)
+    if x.ndim != 2 or h.ndim != 2:
+        raise ShapeError(f"x_t and h_prev must be 2-D columns, got ndim {x.ndim} and {h.ndim}")
     if x.shape[0] != p.m:
         raise ShapeError(f"x_t has {x.shape[0]} features, cell expects {p.m}")
     if h.shape[0] != p.n:
@@ -188,15 +176,15 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
         raise ContractError(f"unknown variant {p.variant!r}")
     h_t = (1.0 - u) * h + u * c
     cache = StepCache(x_t=x, h_prev=h, pre_r=pre_r, pre_u=pre_u, pre_c=pre_c,
-                      r_t=r, u_t=u, c_t=c, h_t=h_t, batched=bx, variant=p.variant)
-    return (h_t if bx else h_t[:, 0]), cache
+                      r_t=r, u_t=u, c_t=c, h_t=h_t, variant=p.variant)
+    return h_t, cache
 
 
 def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
-    """d c_t / d pre_c, entrywise."""
+    """d c_t / d pre_c, entrywise; for modReLU the 0/1 mask |pre_c| + b > 0."""
     if p.variant == "gru":
         return 1.0 - cache.c_t * cache.c_t
-    return (np.abs(cache.pre_c) + p.modrelu_b[:, None] > 0.0).astype(np.float64)
+    return np.abs(cache.pre_c) + p.modrelu_b[:, None] > 0.0
 
 
 def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
@@ -210,11 +198,9 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     if p.variant != cache.variant:
         raise ContractError(
             f"cache from a {cache.variant!r} forward fed to {p.variant!r} backward")
-    g_h, batched = _columns(grad_h, "grad_h")
+    g_h = np.asarray(grad_h, dtype=np.float64)
     if g_h.shape != cache.h_t.shape:
         raise ShapeError(f"grad_h shape {g_h.shape} does not match h_t {cache.h_t.shape}")
-    if batched != cache.batched:
-        raise ShapeError("grad_h batchedness does not match the cached step")
     g = into if into is not None else _zeros_like(p)
 
     h, r, u, c = cache.h_prev, cache.r_t, cache.u_t, cache.c_t
@@ -224,8 +210,7 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
 
     g_pre_c = g_c * _candidate_slope(p, cache)
     if p.variant == "ncgru":
-        on = np.abs(cache.pre_c) + p.modrelu_b[:, None] > 0.0
-        g.modrelu_b += np.sum(g_c * np.sign(cache.pre_c) * on, axis=1)
+        g.modrelu_b += np.sum(g_pre_c * np.sign(cache.pre_c), axis=1)
     else:
         g.b_c += np.sum(g_pre_c, axis=1)
     rh = r * h
@@ -245,18 +230,29 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     g.b_r += np.sum(g_pre_r, axis=1)
     g_hprev += p.u_u.T @ g_pre_u + p.u_r.T @ g_pre_r
 
-    return g, (g_hprev if batched else g_hprev[:, 0])
+    return g, g_hprev
+
+
+def _unroll(p: CellParams, inputs, caches: list | None) -> list[np.ndarray]:
+    """Hidden states [h_1 .. h_T] from h_0 = 0; each step's cache is
+    appended to caches when it is a list and dropped when it is None."""
+    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    if not xs:
+        raise ContractError("input sequence is empty")
+    # a 1-D x makes h 1-D too; cell_forward then rejects the step
+    h = np.zeros((p.n,) + xs[0].shape[1:])
+    hs = []
+    for x in xs:
+        h, cache = cell_forward(p, x, h)
+        hs.append(h)
+        if caches is not None:
+            caches.append(cache)
+    return hs
 
 
 def sequence_forward(p: CellParams, inputs) -> list[np.ndarray]:
     """Hidden states [h_1 .. h_T] from h_0 = 0, no caches kept."""
-    xs = _normalize_inputs(inputs)
-    h = _initial_state(p, xs[0])
-    hs = []
-    for x in xs:
-        h, _ = cell_forward(p, x, h)
-        hs.append(h)
-    return hs
+    return _unroll(p, inputs, None)
 
 
 @dataclass
@@ -268,19 +264,13 @@ class BpttResult:
 def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
     """Full backpropagation through time from h_0 = 0.
 
-    inputs is a sequence of per-step arrays (each (m,) or (m, B)) or an
-    ndarray with time on axis 0. loss must provide
+    inputs is a sequence of per-step (m, B) arrays or an ndarray with time
+    on axis 0. loss must provide
     loss_and_grads(hs) -> (scalar, per-step dL/dh list, None meaning zero),
     evaluated on the collected hidden states [h_1 .. h_T].
     """
-    xs = _normalize_inputs(inputs)
-    h = _initial_state(p, xs[0])
     caches = []
-    hs = []
-    for x in xs:
-        h, cache = cell_forward(p, x, h)
-        caches.append(cache)
-        hs.append(h)
+    hs = _unroll(p, inputs, caches)
 
     loss_value, step_grads = loss.loss_and_grads(hs)
     if len(step_grads) != len(hs):
@@ -289,7 +279,7 @@ def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
 
     grads = _zeros_like(p)
     g_h = None
-    for t in range(len(xs) - 1, -1, -1):
+    for t in range(len(hs) - 1, -1, -1):
         inject = step_grads[t]
         if inject is not None:
             g_h = inject if g_h is None else g_h + inject
@@ -299,36 +289,16 @@ def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
     return BpttResult(loss=float(loss_value), grads=grads)
 
 
-def _normalize_inputs(inputs) -> list[np.ndarray]:
-    if isinstance(inputs, np.ndarray):
-        xs = [inputs[t] for t in range(inputs.shape[0])]
-    else:
-        xs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    if not xs:
-        raise ContractError("input sequence is empty")
-    return xs
-
-
-def _initial_state(p: CellParams, x0: np.ndarray) -> np.ndarray:
-    if x0.ndim == 1:
-        return np.zeros(p.n)
-    return np.zeros((p.n, x0.shape[1]))
-
-
 class FinalStateMse:
     """Reference loss for gradient tests: squared error between h_T and a
-    fixed target, averaged over the batch."""
+    fixed (n, B) target, averaged over the batch."""
 
     def __init__(self, target: np.ndarray):
         self.target = np.asarray(target, dtype=np.float64)
 
     def loss_and_grads(self, hs):
-        h_last = hs[-1]
-        diff = h_last - self.target
-        if diff.ndim == 1:
-            batch = 1
-        else:
-            batch = diff.shape[1]
+        diff = hs[-1] - self.target
+        batch = diff.shape[1]
         loss = float(np.sum(diff * diff)) / batch
         grads = [None] * len(hs)
         grads[-1] = 2.0 * diff / batch
@@ -346,7 +316,7 @@ class JacobianResult:
 
 
 def jacobian_h(p: CellParams, cache: StepCache) -> JacobianResult:
-    """Analytic one-step state Jacobian at a cached (unbatched) step.
+    """Analytic one-step state Jacobian at a cached one-column (B = 1) step.
 
     With Du = diag(u(1-u)) and Dr = diag(r(1-r)):
 
@@ -356,8 +326,8 @@ def jacobian_h(p: CellParams, cache: StepCache) -> JacobianResult:
     if p.variant != cache.variant:
         raise ContractError(
             f"cache from a {cache.variant!r} forward fed to {p.variant!r} jacobian")
-    if cache.batched:
-        raise ContractError("jacobian_h needs an unbatched cache (single example)")
+    if cache.h_t.shape[1] != 1:
+        raise ContractError(f"jacobian_h needs a one-column cache, got B={cache.h_t.shape[1]}")
     h = cache.h_prev[:, 0]
     r = cache.r_t[:, 0]
     u = cache.u_t[:, 0]

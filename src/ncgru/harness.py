@@ -613,13 +613,13 @@ def read_metrics_csv(path) -> list[MetricRow]:
             raise ContractError(f"unexpected metrics header {header!r}")
         rows = []
         for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 6:
-                raise ContractError(f"malformed metrics row {line!r}")
-            rows.append(MetricRow(step=int(parts[0]), train_loss=float(parts[1]),
-                                  eval_loss=float(parts[2]) if parts[2] else None,
-                                  drift=float(parts[3]), contraction_norm=float(parts[4]),
-                                  wall_ms=int(parts[5])))
+            # a wrong field count fails the unpacking, a bad field its int()/float()
+            with reading(f"metrics row {line!r}"):
+                step, loss, ev, drift, contraction, wall = line.strip().split(",")
+                rows.append(MetricRow(step=int(step), train_loss=float(loss),
+                                      eval_loss=float(ev) if ev else None,
+                                      drift=float(drift), contraction_norm=float(contraction),
+                                      wall_ms=int(wall)))
     return rows
 
 

@@ -157,6 +157,8 @@ class SkewOrthogonal:
         if self.reset_every < 0:
             raise ShapeError(f"reset_every must be >= 0, got {self.reset_every}")
         self.a = check_skew(self.a, "a")
+        self.d = np.asarray(self.d, dtype=np.float64)
+        self.a_tilde = np.asarray(self.a_tilde, dtype=np.float64)
         n = self.n
         if self.d.shape != (n,) or not np.all(np.abs(self.d) == 1.0):
             raise ShapeError(f"d must be a vector of {n} entries, each +1 or -1")

@@ -82,7 +82,7 @@ class TaskBatch:
         return self.inputs.shape[2]
 
     def step_inputs(self) -> list[np.ndarray]:
-        """Per-step column-major views [(dim, batch)] * T_total."""
+        """Per-step (dim, batch) column copies, C-contiguous, one per step."""
         return [np.ascontiguousarray(self.inputs[:, t, :].T)
                 for t in range(self.inputs.shape[1])]
 

@@ -65,8 +65,8 @@ def bound_ensemble():
         for name, arr in p.named_arrays():
             if name.startswith("u_"):
                 arr *= scale
-        x = rng.standard_normal(8)
-        h = rng.uniform(-1.0, 1.0, 32)
+        x = rng.standard_normal((8, 1))
+        h = rng.uniform(-1.0, 1.0, (32, 1))
         _, cache = cell_forward(p, x, h)
         reports.append(compute_bound(p, cache))
         if i < 50:
@@ -230,11 +230,11 @@ def test_c06_jacobian_bound_zero_violations(bound_ensemble):
         for j in range(h.size):
             hp = h.copy()
             hm = h.copy()
-            hp[j] += eps
-            hm[j] -= eps
+            hp[j, 0] += eps
+            hm[j, 0] -= eps
             fp, _ = cell_forward(p, x, hp)
             fm, _ = cell_forward(p, x, hm)
-            fd[:, j] = (fp - fm) / (2.0 * eps)
+            fd[:, j] = (fp - fm)[:, 0] / (2.0 * eps)
         worst_fd = max(worst_fd, float(np.max(np.abs(jac - fd))))
     assert worst_fd < 1e-6, f"worst Jacobian entry error {worst_fd:.3e}"
 

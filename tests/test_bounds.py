@@ -23,7 +23,7 @@ def test_delta_caps_at_quarter():
     p = CellParams.init("gru", 6, 4, seed=0)
     for name, arr in p.named_arrays():
         arr[:] = 0.0
-    _, cache = cell_forward(p, np.zeros(4), np.zeros(6))
+    _, cache = cell_forward(p, np.zeros((4, 1)), np.zeros((6, 1)))
     rep = compute_bound(p, cache)
     assert rep.delta_u == 0.25
     assert rep.delta_r == 0.25
@@ -33,8 +33,8 @@ def test_delta_never_exceeds_quarter():
     rng = np.random.default_rng(1)
     p = CellParams.init("gru", 8, 5, seed=2)
     for _ in range(50):
-        x = rng.normal(size=5) * 4.0
-        h = rng.uniform(-1.0, 1.0, 8)
+        x = rng.normal(size=(5, 1)) * 4.0
+        h = rng.uniform(-1.0, 1.0, (8, 1))
         _, cache = cell_forward(p, x, h)
         rep = compute_bound(p, cache)
         assert rep.delta_u <= 0.25
@@ -46,8 +46,8 @@ def test_bound_dominates_measured_norm():
     rng = np.random.default_rng(3)
     for trial in range(20):
         p = gru_with_scaled_weights(10, 4, seed=trial, scale=rng.uniform(0.5, 2.0))
-        x = rng.normal(size=4)
-        h = rng.uniform(-1.0, 1.0, 10)
+        x = rng.normal(size=(4, 1))
+        h = rng.uniform(-1.0, 1.0, (10, 1))
         _, cache = cell_forward(p, x, h)
         rep = compute_bound(p, cache)
         assert rep.slack >= -1e-10
@@ -60,8 +60,8 @@ def test_tanh_envelopes():
     for trial in range(30):
         p = gru_with_scaled_weights(8, 3, seed=200 + trial,
                                     scale=rng.uniform(0.5, 3.0))
-        x = rng.normal(size=3) * 2.0
-        h = rng.uniform(-1.0, 1.0, 8)
+        x = rng.normal(size=(3, 1)) * 2.0
+        h = rng.uniform(-1.0, 1.0, (8, 1))
         _, cache = cell_forward(p, x, h)
         rep = compute_bound(p, cache)
         assert rep.alpha <= 0.5 * rep.norm_u_u + 1.0 + 1e-12
@@ -73,6 +73,8 @@ def test_compute_bound_rejects_batched_cache():
     _, cache = cell_forward(p, np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ContractError):
         compute_bound(p, cache)
+    _, one = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)))
+    assert compute_bound(p, one).slack >= -1e-10
 
 
 def orthogonal_gru(n, m, seed):
@@ -149,7 +151,7 @@ def test_ncgru_orthogonal_measured_norm_capped():
 def test_measured_agrees_with_direct_spectral_norm():
     p = CellParams.init("gru", 7, 3, seed=21)
     rng = np.random.default_rng(22)
-    _, cache = cell_forward(p, rng.normal(size=3), rng.uniform(-1, 1, 7))
+    _, cache = cell_forward(p, rng.normal(size=(3, 1)), rng.uniform(-1, 1, (7, 1)))
     rep = compute_bound(p, cache)
     direct = spectral_norm(jacobian_h(p, cache).matrix)
     assert abs(rep.measured - direct) < 1e-8

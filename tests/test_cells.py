@@ -5,10 +5,13 @@ central finite differences through the full forward pass.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from ncgru import cells
 from ncgru.cells import (
     CellParams,
     FinalStateMse,
@@ -57,7 +60,7 @@ def test_gru_zero_everything():
     p = CellParams.init("gru", 4, 3, seed=0)
     for name, arr in p.named_arrays():
         arr[:] = 0.0
-    h, cache = cell_forward(p, np.zeros(3), np.zeros(4))
+    h, cache = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)))
     assert np.all(h == 0.0)
     assert np.all(cache.r_t == 0.5)
     assert np.all(cache.u_t == 0.5)
@@ -68,18 +71,18 @@ def test_gru_saturated_update_gate_keeps_candidate():
     p = CellParams.init("gru", 5, 3, seed=1)
     p.b_u[:] = 40.0
     rng = np.random.default_rng(2)
-    x = rng.normal(size=3)
-    h_prev = rng.normal(size=5)
+    x = rng.normal(size=(3, 1))
+    h_prev = rng.normal(size=(5, 1))
     h, cache = cell_forward(p, x, h_prev)
-    assert np.max(np.abs(h - cache.c_t[:, 0])) < 1e-10
+    assert np.max(np.abs(h - cache.c_t)) < 1e-10
 
 
 def test_gru_frozen_update_gate_keeps_state():
     p = CellParams.init("gru", 5, 3, seed=1)
     p.b_u[:] = -40.0
     rng = np.random.default_rng(3)
-    x = rng.normal(size=3)
-    h_prev = rng.normal(size=5)
+    x = rng.normal(size=(3, 1))
+    h_prev = rng.normal(size=(5, 1))
     h, _ = cell_forward(p, x, h_prev)
     assert np.max(np.abs(h - h_prev)) < 1e-10
 
@@ -88,7 +91,7 @@ def test_ncgru_zero_everything():
     p = CellParams.init("ncgru", 4, 3, seed=0)
     for name, arr in p.named_arrays():
         arr[:] = 0.0
-    h, cache = cell_forward(p, np.zeros(3), np.zeros(4))
+    h, cache = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)))
     assert np.all(h == 0.0)
     assert np.all(cache.c_t == 0.0)
 
@@ -97,10 +100,10 @@ def test_ncgru_negative_bias_clips_candidate():
     p = CellParams.init("ncgru", 4, 3, seed=4)
     p.modrelu_b[:] = -100.0
     rng = np.random.default_rng(5)
-    h, cache = cell_forward(p, rng.normal(size=3), rng.normal(size=4))
+    h, cache = cell_forward(p, rng.normal(size=(3, 1)), rng.normal(size=(4, 1)))
     assert np.all(cache.c_t == 0.0)
     # With the candidate clipped to zero the step is pure decay.
-    assert np.array_equal(h, (1.0 - cache.u_t[:, 0]) * cache.h_prev[:, 0])
+    assert np.array_equal(h, (1.0 - cache.u_t) * cache.h_prev)
 
 
 def test_forward_matches_oracle_both_variants():
@@ -110,16 +113,16 @@ def test_forward_matches_oracle_both_variants():
             p = CellParams.init(variant, 6, 4, seed=100 + trial)
             x = rng.normal(size=4)
             h_prev = rng.normal(size=6)
-            h, _ = cell_forward(p, x, h_prev)
+            h, _ = cell_forward(p, x[:, None], h_prev[:, None])
             want = oracle_step(p, x, h_prev)
-            assert np.max(np.abs(h - want)) <= 1e-14
+            assert np.max(np.abs(h[:, 0] - want)) <= 1e-14
 
 
 def test_gate_ranges():
     rng = np.random.default_rng(7)
     p = CellParams.init("gru", 8, 5, seed=8)
     for _ in range(20):
-        _, cache = cell_forward(p, 10 * rng.normal(size=5), rng.normal(size=8))
+        _, cache = cell_forward(p, 10 * rng.normal(size=(5, 1)), rng.normal(size=(8, 1)))
         assert np.all(cache.r_t > 0.0) and np.all(cache.r_t < 1.0)
         assert np.all(cache.u_t > 0.0) and np.all(cache.u_t < 1.0)
 
@@ -128,7 +131,7 @@ def test_gru_state_stays_inside_unit_box():
     """From h_0 = 0 every GRU state is a convex mix of tanh outputs."""
     rng = np.random.default_rng(9)
     p = CellParams.init("gru", 12, 6, seed=10)
-    xs = rng.normal(size=(50, 6)) * 3.0
+    xs = rng.normal(size=(50, 6, 1)) * 3.0
     hs = sequence_forward(p, xs)
     peak = max(float(np.max(np.abs(h))) for h in hs)
     assert peak <= 1.0
@@ -137,13 +140,69 @@ def test_gru_state_stays_inside_unit_box():
 def test_forward_shape_errors():
     p = CellParams.init("gru", 4, 3, seed=0)
     with pytest.raises(ShapeError):
-        cell_forward(p, np.zeros(2), np.zeros(4))
+        cell_forward(p, np.zeros((2, 1)), np.zeros((4, 1)))
     with pytest.raises(ShapeError):
-        cell_forward(p, np.zeros(3), np.zeros(5))
+        cell_forward(p, np.zeros((3, 1)), np.zeros((5, 1)))
     with pytest.raises(ShapeError):
         cell_forward(p, np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ShapeError):
         cell_forward(p, np.zeros((3, 2)), np.zeros((4, 5)))
+
+
+def test_vectors_are_rejected():
+    """States are (n, B) columns only; a 1-D vector is a shape error."""
+    p = CellParams.init("ncgru", 4, 3, seed=0)
+    with pytest.raises(ShapeError):
+        cell_forward(p, np.zeros(3), np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        cell_forward(p, np.zeros((3, 1)), np.zeros(4))
+    with pytest.raises(ShapeError):
+        cell_forward(p, np.zeros(3), np.zeros(4))
+    _, cache = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        cell_backward(p, cache, np.zeros(4))
+    with pytest.raises(ShapeError):
+        sequence_forward(p, np.zeros((5, 3)))
+    with pytest.raises(ShapeError):
+        sequence_bptt(p, [np.zeros(3)] * 5, FinalStateMse(np.zeros((4, 1))))
+
+
+def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
+    """sequence_bptt's step t cache holds step t-1's h_t itself, not a
+    copy; sequence_forward lets each step cache go by the step after next
+    and keeps none once it returns."""
+    p = CellParams.init("ncgru", 4, 3, seed=28)
+    xs = np.random.default_rng(29).normal(size=(6, 3, 2))
+    forward = cells.cell_forward
+    caches = []
+
+    def keep(*args):
+        out = forward(*args)
+        caches.append(out[1])
+        return out
+
+    monkeypatch.setattr(cells, "cell_forward", keep)
+    sequence_bptt(p, xs, FinalStateMse(np.zeros((4, 2))))
+    assert len(caches) == 6
+    for t in range(1, 6):
+        assert caches[t].h_prev is caches[t - 1].h_t
+
+    refs = []
+    live = []
+
+    def watch(*args):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in refs))
+        out = forward(*args)
+        refs.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(cells, "cell_forward", watch)
+    hs = sequence_forward(p, xs)
+    gc.collect()
+    assert len(hs) == len(refs) == 6
+    assert max(live) <= 1
+    assert all(ref() is None for ref in refs)
 
 
 def test_batched_forward_equals_loop():
@@ -154,16 +213,16 @@ def test_batched_forward_equals_loop():
         hb = rng.normal(size=(5, 7))
         hout, cache = cell_forward(p, xb, hb)
         assert hout.shape == (5, 7)
-        assert cache.batched
+        assert cache.x_t.shape == (3, 7)
         for j in range(7):
-            hj, _ = cell_forward(p, xb[:, j], hb[:, j])
-            assert np.max(np.abs(hout[:, j] - hj)) < 1e-14
+            hj, _ = cell_forward(p, xb[:, j:j + 1], hb[:, j:j + 1])
+            assert np.max(np.abs(hout[:, j] - hj[:, 0])) < 1e-14
 
 
 def test_backward_zero_grad():
     p = CellParams.init("gru", 4, 3, seed=13)
-    _, cache = cell_forward(p, np.ones(3), np.ones(4))
-    grads, g_prev = cell_backward(p, cache, np.zeros(4))
+    _, cache = cell_forward(p, np.ones((3, 1)), np.ones((4, 1)))
+    grads, g_prev = cell_backward(p, cache, np.zeros((4, 1)))
     for name, arr in grads.named_arrays():
         assert np.all(arr == 0.0), name
     assert np.all(g_prev == 0.0)
@@ -179,11 +238,11 @@ def _fd_cell_param_grads(p, x, h_prev, g_out, eps=1e-6):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hp, _ = cell_forward(p, x, h_prev)
+            hp, _ = cell_forward(p, x[:, None], h_prev[:, None])
             flat[idx] = orig - eps
-            hm, _ = cell_forward(p, x, h_prev)
+            hm, _ = cell_forward(p, x[:, None], h_prev[:, None])
             flat[idx] = orig
-            gflat[idx] = float(g_out @ (hp - hm)) / (2.0 * eps)
+            gflat[idx] = float(g_out @ (hp - hm)[:, 0]) / (2.0 * eps)
         out[name] = g
     return out
 
@@ -193,11 +252,11 @@ def _fd_cell_state_grad(p, x, h_prev, g_out, eps=1e-6):
     for idx in range(h_prev.size):
         orig = h_prev[idx]
         h_prev[idx] = orig + eps
-        hp, _ = cell_forward(p, x, h_prev)
+        hp, _ = cell_forward(p, x[:, None], h_prev[:, None])
         h_prev[idx] = orig - eps
-        hm, _ = cell_forward(p, x, h_prev)
+        hm, _ = cell_forward(p, x[:, None], h_prev[:, None])
         h_prev[idx] = orig
-        g[idx] = float(g_out @ (hp - hm)) / (2.0 * eps)
+        g[idx] = float(g_out @ (hp - hm)[:, 0]) / (2.0 * eps)
     return g
 
 
@@ -211,8 +270,8 @@ def test_backward_matches_finite_differences(variant):
     x = rng.normal(size=3)
     h_prev = rng.normal(size=4)
     g_out = rng.normal(size=4)
-    _, cache = cell_forward(p, x, h_prev)
-    grads, g_prev = cell_backward(p, cache, g_out)
+    _, cache = cell_forward(p, x[:, None], h_prev[:, None])
+    grads, g_prev = cell_backward(p, cache, g_out[:, None])
     fd = _fd_cell_param_grads(p, x, h_prev, g_out)
     for name, arr in grads.named_arrays():
         denom = max(float(np.max(np.abs(fd[name]))), 1e-12)
@@ -220,7 +279,7 @@ def test_backward_matches_finite_differences(variant):
         assert err < 1e-6, f"{variant} {name}: rel err {err:.3e}"
     fd_h = _fd_cell_state_grad(p, x, h_prev, g_out)
     denom = max(float(np.max(np.abs(fd_h))), 1e-12)
-    assert float(np.max(np.abs(g_prev - fd_h))) / denom < 1e-6
+    assert float(np.max(np.abs(g_prev[:, 0] - fd_h))) / denom < 1e-6
 
 
 def test_backward_batched_equals_sum_of_single():
@@ -235,26 +294,26 @@ def test_backward_batched_equals_sum_of_single():
     for name, arr in grads.named_arrays():
         total = np.zeros_like(arr)
         for j in range(5):
-            _, cj = cell_forward(p, xb[:, j], hb[:, j])
-            gj, g_prev_j = cell_backward(p, cj, gb[:, j])
+            _, cj = cell_forward(p, xb[:, j:j + 1], hb[:, j:j + 1])
+            gj, g_prev_j = cell_backward(p, cj, gb[:, j:j + 1])
             total += dict(gj.named_arrays())[name]
-            assert np.max(np.abs(g_prev[:, j] - g_prev_j)) < 1e-12
+            assert np.max(np.abs(g_prev[:, j] - g_prev_j[:, 0])) < 1e-12
         assert np.max(np.abs(arr - total)) < 1e-12, name
 
 
 def test_variant_mismatch_raises():
     pg = CellParams.init("gru", 4, 3, seed=1)
     pn = CellParams.init("ncgru", 4, 3, seed=1)
-    _, cache = cell_forward(pg, np.zeros(3), np.zeros(4))
+    _, cache = cell_forward(pg, np.zeros((3, 1)), np.zeros((4, 1)))
     with pytest.raises(ContractError):
-        cell_backward(pn, cache, np.ones(4))
+        cell_backward(pn, cache, np.ones((4, 1)))
     with pytest.raises(ContractError):
         jacobian_h(pn, cache)
 
 
 def test_sequence_forward_zero_initial_state():
     p = CellParams.init("gru", 4, 3, seed=18)
-    xs = np.zeros((6, 3))
+    xs = np.zeros((6, 3, 1))
     for name, arr in p.named_arrays():
         arr[:] = 0.0
     hs = sequence_forward(p, xs)
@@ -266,18 +325,18 @@ def test_sequence_forward_zero_initial_state():
 def test_sequence_rejects_empty():
     p = CellParams.init("gru", 4, 3, seed=18)
     with pytest.raises(ContractError):
-        sequence_forward(p, np.zeros((0, 3)))
+        sequence_forward(p, np.zeros((0, 3, 1)))
     with pytest.raises(ContractError):
-        sequence_bptt(p, np.zeros((0, 3)), FinalStateMse(np.zeros(4)))
+        sequence_bptt(p, np.zeros((0, 3, 1)), FinalStateMse(np.zeros((4, 1))))
 
 
 def test_bptt_length_one_equals_cell_backward():
     rng = np.random.default_rng(19)
     p = CellParams.init("gru", 4, 3, seed=20)
-    x = rng.normal(size=(1, 3))
-    target = rng.normal(size=4)
+    x = rng.normal(size=(1, 3, 1))
+    target = rng.normal(size=(4, 1))
     res = sequence_bptt(p, x, FinalStateMse(target))
-    h, cache = cell_forward(p, x[0], np.zeros(4))
+    h, cache = cell_forward(p, x[0], np.zeros((4, 1)))
     # FinalStateMse sums squared error over entries, gradient 2 (h - target).
     g_out = 2.0 * (h - target)
     grads, _ = cell_backward(p, cache, g_out)
@@ -294,8 +353,8 @@ def test_bptt_matches_finite_differences(variant):
     p = CellParams.init(variant, 4, 3, seed=22)
     if variant == "ncgru":
         p.modrelu_b[:] = 0.5
-    xs = rng.normal(size=(5, 3))
-    target = rng.normal(size=4)
+    xs = rng.normal(size=(5, 3, 1))
+    target = rng.normal(size=(4, 1))
     loss = FinalStateMse(target)
     res = sequence_bptt(p, xs, loss)
     eps = 1e-6
@@ -319,7 +378,7 @@ def test_bptt_matches_finite_differences(variant):
 
 def test_jacobian_identity_when_update_gate_closed():
     p = CellParams.init("gru", 4, 3, seed=23)
-    _, cache = cell_forward(p, np.zeros(3), np.zeros(4))
+    _, cache = cell_forward(p, np.zeros((3, 1)), np.zeros((4, 1)))
     # Force u = 0 in the cache: J = diag(1 - u) = I and the gate path dies.
     frozen = dataclasses.replace(cache, u_t=np.zeros_like(cache.u_t))
     jac = jacobian_h(p, frozen)
@@ -334,7 +393,7 @@ def test_jacobian_matches_finite_differences(variant):
         p.modrelu_b[:] = 0.5
     x = rng.normal(size=3)
     h_prev = rng.normal(size=5)
-    _, cache = cell_forward(p, x, h_prev)
+    _, cache = cell_forward(p, x[:, None], h_prev[:, None])
     jac = jacobian_h(p, cache)
     assert not jac.near_kink
     eps = 1e-6
@@ -344,9 +403,9 @@ def test_jacobian_matches_finite_differences(variant):
         hm = h_prev.copy()
         hp[j] += eps
         hm[j] -= eps
-        fp, _ = cell_forward(p, x, hp)
-        fm, _ = cell_forward(p, x, hm)
-        fd[:, j] = (fp - fm) / (2.0 * eps)
+        fp, _ = cell_forward(p, x[:, None], hp[:, None])
+        fm, _ = cell_forward(p, x[:, None], hm[:, None])
+        fd[:, j] = (fp - fm)[:, 0] / (2.0 * eps)
     assert np.max(np.abs(jac.matrix - fd)) < 1e-6
 
 
@@ -357,7 +416,7 @@ def test_jacobian_near_kink_flag():
         if name != "modrelu_b":
             arr[:] = 0.0
     # pre_c = 0 and b = 0 sits exactly on the kink.
-    _, cache = cell_forward(p, np.zeros(2), np.zeros(3))
+    _, cache = cell_forward(p, np.zeros((2, 1)), np.zeros((3, 1)))
     jac = jacobian_h(p, cache)
     assert jac.near_kink
 
@@ -367,6 +426,8 @@ def test_jacobian_rejects_batched_cache():
     _, cache = cell_forward(p, np.zeros((2, 4)), np.zeros((3, 4)))
     with pytest.raises(ContractError):
         jacobian_h(p, cache)
+    _, one = cell_forward(p, np.zeros((2, 1)), np.zeros((3, 1)))
+    assert jacobian_h(p, one).matrix.shape == (3, 3)
 
 
 def test_init_rejects_unknown_variant_and_ortho_name():

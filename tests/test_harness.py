@@ -219,6 +219,15 @@ def test_run_metrics_format(tmp_path):
     assert len(timing) == 5
 
 
+@pytest.mark.parametrize("row", ["x,1,,0,0,0", "1,1,,0,0,0.5", "1,nan,oops,0,0,0",
+                                 "1,1,,0,0", "1,1,,0,0,0,7", ""])
+def test_read_metrics_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "metrics.csv"
+    path.write_text(f"{METRICS_HEADER}\n1,0.5,,0.0,0.0,0\n{row}\n")
+    with pytest.raises(ContractError, match="malformed metrics row"):
+        read_metrics_csv(path)
+
+
 def test_run_final_iteration_always_evaluated():
     cfg = ExperimentConfig.from_dict(
         make_cfg(**{"train.iterations": 7, "train.eval_every": 3}))

@@ -136,6 +136,17 @@ def test_create_defaults_and_validation():
         SkewOrthogonal.create(1, seed=0)
 
 
+def test_construction_converts_and_checks_list_state():
+    sk = SkewOrthogonal.create(4, seed=0)
+    same = SkewOrthogonal(a=sk.a.tolist(), d=sk.d.tolist(), a_tilde=sk.a_tilde.tolist())
+    assert np.array_equal(same.u, sk.u)
+    for edit in ({"d": [5.0, 1.0, 1.0, 1.0]}, {"d": [1.0, -1.0, 1.0]},
+                 {"a_tilde": np.eye(3).tolist()}, {"a_tilde": [[np.inf] * 4] * 4}):
+        state = {"a": sk.a, "d": sk.d, "a_tilde": sk.a_tilde, **edit}
+        with pytest.raises(ShapeError):
+            SkewOrthogonal(**state)
+
+
 def test_zero_skew_gives_scaled_identity():
     sk = SkewOrthogonal.create(4, seed=0, num_neg=1)
     sk.a[:] = 0.0
