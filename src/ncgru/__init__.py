@@ -8,12 +8,12 @@ generators (tasks), and the experiment harness plus CLI (harness, cli).
 """
 
 from .bounds import BoundReport, compute_bound, saturation_sweep
-from .cells import (BpttResult, CellParams, FinalStateMse, StepCache, cell_backward,
-                    cell_forward, jacobian_h, modrelu, sequence_bptt, sequence_forward)
+from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forward,
+                    jacobian_h, modrelu, sequence_bptt, sequence_forward)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
-from .harness import (ExperimentConfig, Model, RunResult, build_model, load_checkpoint,
-                      run_ablation, run_gradcheck, run_training, save_checkpoint)
+from .harness import (ExperimentConfig, LinearReadoutMse, Model, RunResult, build_model,
+                      load_checkpoint, run_ablation, run_gradcheck, run_training, save_checkpoint)
 from .linalg import exact_inverse, fro_dist_identity, spectral_norm
 from .optim import Optimizer
 from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "compute_bound", "saturation_sweep",
-    "BpttResult", "CellParams", "FinalStateMse", "StepCache",
+    "BpttResult", "CellParams", "LinearReadoutMse", "StepCache",
     "cell_backward", "cell_forward", "jacobian_h", "modrelu",
     "sequence_bptt", "sequence_forward",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",

@@ -289,22 +289,6 @@ def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
     return BpttResult(loss=float(loss_value), grads=grads)
 
 
-class FinalStateMse:
-    """Reference loss for gradient tests: squared error between h_T and a
-    fixed (n, B) target, averaged over the batch."""
-
-    def __init__(self, target: np.ndarray):
-        self.target = np.asarray(target, dtype=np.float64)
-
-    def loss_and_grads(self, hs):
-        diff = hs[-1] - self.target
-        batch = diff.shape[1]
-        loss = float(np.sum(diff * diff)) / batch
-        grads = [None] * len(hs)
-        grads[-1] = 2.0 * diff / batch
-        return loss, grads
-
-
 @dataclass
 class JacobianResult:
     """matrix is d h_t / d h_{t-1}; near_kink is True when a modReLU

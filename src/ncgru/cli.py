@@ -69,14 +69,14 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.instances is not None and args.instances < 1:
-        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     scopes = ("cayley", "cell", "bptt") if args.scope == "all" else (args.scope,)
     ok = True
     for scope in scopes:
-        rep = run_gradcheck(scope, seed=args.seed, instances=args.instances)
+        try:
+            rep = run_gradcheck(scope, seed=args.seed, instances=args.instances)
+        except ContractError as err:
+            # the scope is checked by argparse, so this is --instances or --seed
+            raise ConfigError(str(err)) from err
         ok &= rep.passed
         print(f"scope={scope} max_rel_err={rep.max_rel_err:.3e} tol={rep.tol:g} "
               + ("PASS" if rep.passed else "FAIL"))

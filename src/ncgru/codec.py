@@ -5,6 +5,7 @@ float64 bytes, "shape": [...]}. It is meant as json.dump's default hook,
 so the to_dict snapshots hold plain arrays and each record is built only
 while json.dump writes it. decode reads such a record back to the same
 bits, and also reads the nested decimal lists of v1 checkpoints.
+decode_int reads a counter, which must be a JSON integer.
 
 reading() turns the KeyError, TypeError or ValueError that a malformed
 blob raises inside a from_dict into ContractError.
@@ -58,6 +59,14 @@ def decode(value, what: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ContractError(f"{what} must hold only numbers, got {arr.dtype} entries")
     return arr.astype(np.float64, copy=False)
+
+
+def decode_int(value, what: str) -> int:
+    """value itself when it is a JSON integer; ContractError for anything
+    else (a float, a string, true), naming what."""
+    if type(value) is not int:
+        raise ContractError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @contextmanager

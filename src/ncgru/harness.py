@@ -75,9 +75,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import tasks
-from .cells import (CellParams, FinalStateMse, cell_backward, cell_forward,
-                    sequence_bptt, sequence_forward)
-from .codec import decode, encode, reading
+from .cells import CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward
+from .codec import decode, decode_int, encode, reading
 from .errors import ConfigError, ContractError, NumericError
 from .optim import _KINDS, Optimizer
 from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
@@ -323,18 +322,20 @@ class ExperimentConfig:
 
 class LinearReadoutMse:
     """y = W h_T + b on the final (n, B) state; loss is the squared error
-    summed over output entries and averaged over the batch."""
+    summed over output entries and averaged over the batch. targets has
+    y's shape (out, B), or is (B,) when out is 1; else ContractError."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray):
         self.w = w
         self.b = b
         self.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        self.grad_w = np.zeros_like(w)
-        self.grad_b = np.zeros_like(b)
 
     def loss_and_grads(self, hs):
         h = hs[-1]
         y = self.w @ h + self.b[:, None]
+        if self.targets.shape != y.shape:
+            raise ContractError(f"targets shape {self.targets.shape} does not match "
+                                f"the readout's {y.shape}")
         diff = y - self.targets
         batch = h.shape[1]
         loss = float(np.sum(diff * diff)) / batch
@@ -348,8 +349,9 @@ class LinearReadoutMse:
 
 class SoftmaxReadoutXent:
     """Per-step softmax cross-entropy of (n, B) states through a shared
-    linear readout, averaged over batch and steps (final step only when
-    final_only)."""
+    linear readout, averaged over batch and scored steps (every step, or
+    the final one only when final_only). targets is (B, T) class indices;
+    any other shape is a ContractError."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray,
                  final_only: bool = False):
@@ -357,24 +359,20 @@ class SoftmaxReadoutXent:
         self.b = b
         self.targets = np.asarray(targets, dtype=np.int64)
         self.final_only = final_only
-        self.grad_w = np.zeros_like(w)
-        self.grad_b = np.zeros_like(b)
 
     def loss_and_grads(self, hs):
-        steps = len(hs)
-        if self.targets.ndim != 2 or self.targets.shape[1] != steps:
-            raise ContractError(
-                f"targets shape {self.targets.shape} does not cover {steps} steps")
-        batch = self.targets.shape[0]
-        denom = batch if self.final_only else batch * steps
+        steps, batch = len(hs), hs[-1].shape[1]
+        if self.targets.shape != (batch, steps):
+            raise ContractError(f"targets shape {self.targets.shape} does not cover "
+                                f"{batch} examples x {steps} steps")
+        scored = [steps - 1] if self.final_only else range(steps)
+        denom = batch * len(scored)
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
         cols = np.arange(batch)
         loss = 0.0
         grads: list = [None] * steps
-        for t in range(steps):
-            if self.final_only and t != steps - 1:
-                continue
+        for t in scored:
             h = hs[t]
             logits = self.w @ h + self.b[:, None]
             logits -= np.max(logits, axis=0, keepdims=True)
@@ -699,7 +697,7 @@ def load_checkpoint(path) -> Checkpoint:
         opt = Optimizer.from_dict(blob["optimizer"])
         opt_a = Optimizer.from_dict(blob["optimizer_A"]) if blob["optimizer_A"] else None
         return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a,
-                          step=int(blob["step"]))
+                          step=decode_int(blob["step"], "step"))
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +803,9 @@ def _gradcheck_cayley(seed: int, instances: int) -> dict:
 
 
 def _random_cell(variant: str, seed: int, n: int = 4, m: int = 3, batch: int = 2,
-                 kink_margin: float = 1e-3):
-    """Random params/inputs, rejecting NC-GRU draws near a modReLU kink."""
+                 out: int = 3, kink_margin: float = 1e-3):
+    """Random params/inputs and an (out, n) readout (w, b), rejecting NC-GRU
+    draws near a modReLU kink; the generator comes back for the targets."""
     for attempt in range(50):
         rng = np.random.default_rng(seed + 7919 * attempt)
         p = CellParams.init(variant, n, m, int(rng.integers(0, 2**31)))
@@ -819,8 +818,7 @@ def _random_cell(variant: str, seed: int, n: int = 4, m: int = 3, batch: int = 2
             margin = np.min(np.abs(np.abs(cache.pre_c) + p.modrelu_b[:, None]))
             if margin < kink_margin:
                 continue
-        target = rng.standard_normal((n, batch))
-        return p, x, h, target
+        return p, x, h, rng.standard_normal((out, n)), rng.standard_normal(out), rng
     raise ContractError("could not draw a kink-free NC-GRU instance")
 
 
@@ -828,8 +826,8 @@ def _gradcheck_cell(seed: int, instances: int) -> dict:
     errs = {}
     for variant in ("gru", "ncgru"):
         for i in range(instances):
-            p, x, h, target = _random_cell(variant, seed + 31 * i)
-            loss = FinalStateMse(target)
+            p, x, h, w, b, rng = _random_cell(variant, seed + 31 * i)
+            loss = LinearReadoutMse(w, b, rng.standard_normal((len(b), 2)))
 
             def value() -> float:
                 h1, _ = cell_forward(p, x, h)
@@ -838,11 +836,11 @@ def _gradcheck_cell(seed: int, instances: int) -> dict:
             _, cache = cell_forward(p, x, h)
             _, step_grads = loss.loss_and_grads([cache.h_t])
             grads, g_hprev = cell_backward(p, cache, step_grads[-1])
-            for name, arr in p.named_arrays():
-                fd = _fd_grad(value, arr)
-                errs[f"{variant}_{name}_i{i}"] = _rel_err(getattr(grads, name), fd)
-            fd_h = _fd_grad(value, h)
-            errs[f"{variant}_h_prev_i{i}"] = _rel_err(g_hprev, fd_h)
+            analytic = {**dict(grads.named_arrays()), "h_prev": g_hprev,
+                        "readout_w": loss.grad_w, "readout_b": loss.grad_b}
+            arrays = {**dict(p.named_arrays()), "h_prev": h, "readout_w": w, "readout_b": b}
+            for name, arr in arrays.items():
+                errs[f"{variant}_{name}_i{i}"] = _rel_err(analytic[name], _fd_grad(value, arr))
     return errs
 
 
@@ -850,19 +848,20 @@ def _gradcheck_bptt(seed: int, instances: int, length: int = 5) -> dict:
     errs = {}
     for variant in ("gru", "ncgru"):
         for i in range(instances):
-            p, _, _, target = _random_cell(variant, seed + 77 * i)
+            p, _, _, w, b, _ = _random_cell(variant, seed + 77 * i)
             rng = np.random.default_rng(seed + 13 + i)
             xs = [rng.standard_normal((p.m, 2)) for _ in range(length)]
-            loss = FinalStateMse(target)
+            loss = SoftmaxReadoutXent(w, b, rng.integers(0, len(b), (2, length)))
 
             def value() -> float:
-                hs = sequence_forward(p, xs)
-                return loss.loss_and_grads(hs)[0]
+                return loss.loss_and_grads(sequence_forward(p, xs))[0]
 
             result = sequence_bptt(p, xs, loss)
-            for name, arr in p.named_arrays():
-                fd = _fd_grad(value, arr)
-                errs[f"{variant}_{name}_i{i}"] = _rel_err(getattr(result.grads, name), fd)
+            analytic = {**dict(result.grads.named_arrays()),
+                        "readout_w": loss.grad_w, "readout_b": loss.grad_b}
+            arrays = {**dict(p.named_arrays()), "readout_w": w, "readout_b": b}
+            for name, arr in arrays.items():
+                errs[f"{variant}_{name}_i{i}"] = _rel_err(analytic[name], _fd_grad(value, arr))
     return errs
 
 
@@ -875,8 +874,11 @@ def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> Gr
     """Finite-difference check of one analytic-gradient surface.
 
     scope "cayley" checks grad_pullback through the exact transform
-    (tol 1e-6); "cell" checks one-step backward passes and "bptt" the full
-    unrolled sequence (tol 1e-5), both on kink-free instances.
+    (tol 1e-6); "cell" checks one-step backward passes through
+    LinearReadoutMse and "bptt" the full unrolled sequence through
+    SoftmaxReadoutXent scored on every step (tol 1e-5), both on kink-free
+    instances and with the readout's own w and b gradients included.
+    Invalid arguments raise ContractError.
     """
     if instances is not None and instances < 1:
         raise ContractError(f"instances must be >= 1, got {instances}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode, reading
+from .codec import decode, decode_int, reading
 from .errors import ContractError, NumericError, ShapeError
 
 _KINDS = ("sgd", "rmsprop", "adam")
@@ -138,11 +138,12 @@ class Optimizer:
     @classmethod
     def from_dict(cls, blob: dict) -> "Optimizer":
         """Load to_dict's snapshot, or its JSON form; corrupt state raises
-        ShapeError, a missing key or a malformed entry ContractError."""
+        ShapeError, a missing key or a malformed entry (a step count that
+        is not a JSON integer included) ContractError."""
         with reading("optimizer state"):
             return cls(kind=blob["kind"], lr=float(blob["lr"]), beta1=float(blob["beta1"]),
                        beta2=float(blob["beta2"]), decay=float(blob["decay"]),
                        eps=float(blob["eps"]),
                        _m={k: decode(v, f"m[{k!r}]") for k, v in blob["m"].items()},
                        _v={k: decode(v, f"v[{k!r}]") for k, v in blob["v"].items()},
-                       _t={k: int(v) for k, v in blob["t"].items()})
+                       _t={k: decode_int(v, f"t[{k!r}]") for k, v in blob["t"].items()})

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import decode, reading
+from .codec import decode, decode_int, reading
 from .errors import ShapeError
 from .linalg import ensure_finite, exact_inverse, fro_dist_identity, spectral_norm
 
@@ -137,8 +137,8 @@ class SkewOrthogonal:
     (I + a)^-1 up to Neumann truncation error and u caches the assembled
     orthogonal matrix, derived on construction. steps_since_reset drives
     the periodic exact reset (reset_every == 0 disables it).
-    Construction checks the same rules for fresh and loaded state and
-    raises ShapeError on a violation.
+    Construction checks the same rules for fresh and loaded state (a
+    negative counter among them) and raises ShapeError on a violation.
     """
 
     a: np.ndarray
@@ -154,8 +154,9 @@ class SkewOrthogonal:
         if self.neumann_order not in _VALID_ORDERS:
             raise ShapeError(f"neumann_order must be one of {_VALID_ORDERS}, "
                              f"got {self.neumann_order}")
-        if self.reset_every < 0:
-            raise ShapeError(f"reset_every must be >= 0, got {self.reset_every}")
+        for key in ("reset_every", "steps_since_reset", "step"):
+            if getattr(self, key) < 0:
+                raise ShapeError(f"{key} must be >= 0, got {getattr(self, key)}")
         self.a = check_skew(self.a, "a")
         self.d = np.asarray(self.d, dtype=np.float64)
         self.a_tilde = np.asarray(self.a_tilde, dtype=np.float64)
@@ -281,14 +282,12 @@ class SkewOrthogonal:
     def from_dict(cls, blob: dict) -> "SkewOrthogonal":
         """Load to_dict's snapshot, or its JSON form; state that breaks the
         construction rules raises ShapeError, a missing key or a malformed
-        entry ContractError."""
+        entry (a counter that is not a JSON integer included) ContractError."""
         with reading("skew state"):
             return cls(
                 a=decode(blob["a"], "a"),
                 d=decode(blob["d"], "d"),
                 a_tilde=decode(blob["a_tilde"], "a_tilde"),
-                neumann_order=int(blob["neumann_order"]),
-                reset_every=int(blob["reset_every"]),
-                steps_since_reset=int(blob["steps_since_reset"]),
-                step=int(blob["step"]),
+                **{key: decode_int(blob[key], key) for key in
+                   ("neumann_order", "reset_every", "steps_since_reset", "step")},
             )

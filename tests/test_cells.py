@@ -14,7 +14,6 @@ import pytest
 from ncgru import cells
 from ncgru.cells import (
     CellParams,
-    FinalStateMse,
     StepCache,
     cell_backward,
     cell_forward,
@@ -25,6 +24,7 @@ from ncgru.cells import (
     sigmoid,
 )
 from ncgru.errors import ContractError, ShapeError
+from ncgru.harness import LinearReadoutMse
 
 
 def oracle_step(p, x, h):
@@ -164,7 +164,8 @@ def test_vectors_are_rejected():
     with pytest.raises(ShapeError):
         sequence_forward(p, np.zeros((5, 3)))
     with pytest.raises(ShapeError):
-        sequence_bptt(p, [np.zeros(3)] * 5, FinalStateMse(np.zeros((4, 1))))
+        sequence_bptt(p, [np.zeros(3)] * 5,
+                      LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 1))))
 
 
 def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
@@ -182,7 +183,7 @@ def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
         return out
 
     monkeypatch.setattr(cells, "cell_forward", keep)
-    sequence_bptt(p, xs, FinalStateMse(np.zeros((4, 2))))
+    sequence_bptt(p, xs, LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 2))))
     assert len(caches) == 6
     for t in range(1, 6):
         assert caches[t].h_prev is caches[t - 1].h_t
@@ -327,7 +328,8 @@ def test_sequence_rejects_empty():
     with pytest.raises(ContractError):
         sequence_forward(p, np.zeros((0, 3, 1)))
     with pytest.raises(ContractError):
-        sequence_bptt(p, np.zeros((0, 3, 1)), FinalStateMse(np.zeros((4, 1))))
+        sequence_bptt(p, np.zeros((0, 3, 1)),
+                      LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 1))))
 
 
 def test_bptt_length_one_equals_cell_backward():
@@ -335,9 +337,9 @@ def test_bptt_length_one_equals_cell_backward():
     p = CellParams.init("gru", 4, 3, seed=20)
     x = rng.normal(size=(1, 3, 1))
     target = rng.normal(size=(4, 1))
-    res = sequence_bptt(p, x, FinalStateMse(target))
+    res = sequence_bptt(p, x, LinearReadoutMse(np.eye(4), np.zeros(4), target))
     h, cache = cell_forward(p, x[0], np.zeros((4, 1)))
-    # FinalStateMse sums squared error over entries, gradient 2 (h - target).
+    # An identity readout sums squared error over entries, gradient 2 (h - target).
     g_out = 2.0 * (h - target)
     grads, _ = cell_backward(p, cache, g_out)
     assert abs(res.loss - float(np.sum((h - target) ** 2))) < 1e-14
@@ -355,7 +357,7 @@ def test_bptt_matches_finite_differences(variant):
         p.modrelu_b[:] = 0.5
     xs = rng.normal(size=(5, 3, 1))
     target = rng.normal(size=(4, 1))
-    loss = FinalStateMse(target)
+    loss = LinearReadoutMse(np.eye(4), np.zeros(4), target)
     res = sequence_bptt(p, xs, loss)
     eps = 1e-6
     for name, arr in p.named_arrays():

@@ -15,7 +15,9 @@ from ncgru.codec import decode, encode
 from ncgru.errors import ConfigError, ContractError
 from ncgru.harness import (
     ExperimentConfig,
+    LinearReadoutMse,
     METRICS_HEADER,
+    SoftmaxReadoutXent,
     load_checkpoint,
     read_metrics_csv,
     run_ablation,
@@ -464,8 +466,11 @@ def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     lambda b: b["params"]["w_r"].update(shape=[8, 2.0]),
     lambda b: b["params"]["w_r"].update(shape=[-8, -2]),
     lambda b: b["readout"].update(w={"f8": "", "shape": [0], "dtype": "f4"}),
+    lambda b: b.update(step=3.0),
+    lambda b: b["skews"]["u_r"].update(steps_since_reset=1.5),
 ], ids=["no_readout", "no_optimizer_A", "no_skews", "no_format", "skew_a_string",
-        "bad_base64", "byte_length", "float_shape", "negative_shape", "extra_key"])
+        "bad_base64", "byte_length", "float_shape", "negative_shape", "extra_key",
+        "step_float", "skew_counter_float"])
 def test_load_checkpoint_rejects_malformed_file(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -560,6 +565,62 @@ def test_gradcheck_scopes_pass():
         run_gradcheck("cayley", instances=0)
     with pytest.raises(ContractError):
         run_gradcheck("cell", seed=-1)
+
+
+def test_gradchecks_cover_the_readouts():
+    """cell runs through LinearReadoutMse and bptt through SoftmaxReadoutXent,
+    each with a case for the readout's w and b per variant and instance."""
+    for scope in ("cell", "bptt"):
+        cases = run_gradcheck(scope, seed=0, instances=2).per_case
+        for variant in ("gru", "ncgru"):
+            for i in range(2):
+                assert f"{variant}_readout_w_i{i}" in cases
+                assert f"{variant}_readout_b_i{i}" in cases
+
+
+def _final_step_only(loss_and_grads):
+    def wrapped(self, hs):
+        loss, grads = loss_and_grads(self, hs)
+        return loss, [None] * (len(grads) - 1) + [grads[-1]]
+    return wrapped
+
+
+def _grad_w_scaled(loss_and_grads):
+    def wrapped(self, hs):
+        out = loss_and_grads(self, hs)
+        self.grad_w = 1.01 * self.grad_w
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("cls,scope,broken,failing", [
+    (LinearReadoutMse, "cell", _grad_w_scaled, "_readout_w_"),
+    (SoftmaxReadoutXent, "bptt", _grad_w_scaled, "_readout_w_"),
+    # sequence_bptt then sees the final step's gradient only
+    (SoftmaxReadoutXent, "bptt", _final_step_only, "_u_c_"),
+], ids=["cell_grad_w", "bptt_grad_w", "bptt_final_step_only"])
+def test_gradcheck_catches_a_wrong_readout_gradient(monkeypatch, cls, scope, broken, failing):
+    monkeypatch.setattr(cls, "loss_and_grads", broken(cls.loss_and_grads))
+    rep = run_gradcheck(scope, seed=0, instances=1)
+    assert not rep.passed
+    assert all(err > rep.tol for case, err in rep.per_case.items() if failing in case)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearReadoutMse(np.ones((3, 4)), np.zeros(3), np.arange(5.0)),
+    lambda: LinearReadoutMse(np.ones((1, 4)), np.zeros(1), np.zeros(4)),
+    lambda: LinearReadoutMse(np.ones((3, 4)), np.zeros(3), np.zeros((5, 3))),
+    lambda: SoftmaxReadoutXent(np.ones((3, 4)), np.zeros(3), np.zeros((2, 6), int)),
+    lambda: SoftmaxReadoutXent(np.ones((3, 4)), np.zeros(3), np.zeros((5, 5), int)),
+    lambda: SoftmaxReadoutXent(np.ones((3, 4)), np.zeros(3), np.zeros(6, int)),
+], ids=["mse_row_target", "mse_batch_length", "mse_transposed", "xent_two_examples",
+        "xent_five_steps", "xent_1d"])
+def test_readouts_reject_mis_shaped_targets(make):
+    """Six steps of a (4, 5) state: the MSE wants (out, 5) targets (or (5,)
+    when out is 1), the cross-entropy (5, 6)."""
+    hs = [np.full((4, 5), 0.1)] * 6
+    with pytest.raises(ContractError, match="targets shape"):
+        make().loss_and_grads(hs)
 
 
 def test_cli_train_and_artifacts(tmp_path):

@@ -243,9 +243,13 @@ def test_from_dict_accepts_fresh_and_stepped_state():
     lambda b: b["v"]["w"].update(shape=[2.0]),
     lambda b: b["v"]["w"].update(shape=[-2]),
     lambda b: b["v"]["w"].pop("shape"),
+    lambda b: b["t"].update(w=1.5),
+    lambda b: b["t"].update(w=True),
+    lambda b: b["t"].update(w="2"),
 ], ids=["no_kind", "no_m", "t_list", "v_string", "m_entry_string",
         "m_numeric_string", "v_null", "t_string",
-        "beta1_string", "bad_base64", "byte_length", "float_shape", "negative_shape", "no_shape"])
+        "beta1_string", "bad_base64", "byte_length", "float_shape", "negative_shape", "no_shape",
+        "t_float", "t_bool", "t_numeric_string"])
 def test_from_dict_rejects_malformed_blob(edit):
     blob = _stepped_blob("adam")
     Optimizer.from_dict(blob)

@@ -370,6 +370,8 @@ def test_serialization_round_trip_bitwise():
     {"a": [[0.0, np.nan, 0.0, 0.0]] * 4},
     {"a_tilde": np.eye(3).tolist()},
     {"a_tilde": np.full((4, 4), np.inf).tolist()},
+    {"steps_since_reset": -100},
+    {"step": -1},
 ])
 def test_from_dict_rejects_corrupt_state(edit):
     blob = SkewOrthogonal.create(4, seed=25).to_dict()
@@ -389,8 +391,13 @@ def test_from_dict_rejects_corrupt_state(edit):
     lambda b: b["a"].update(shape=[4, "4"]),
     lambda b: b["a"].update(shape=[-4, -4]),
     lambda b: b["d"].update(shape=[True] * 4),
+    lambda b: b.update(steps_since_reset=2.9),
+    lambda b: b.update(reset_every=True),
+    lambda b: b.update(neumann_order=2.0),
+    lambda b: b.update(step="2"),
 ], ids=["no_a_tilde", "no_step", "a_string", "step_string", "bad_base64",
-        "byte_length", "string_shape", "negative_shape", "bool_shape"])
+        "byte_length", "string_shape", "negative_shape", "bool_shape",
+        "steps_since_reset_float", "reset_every_bool", "order_float", "step_numeric_string"])
 def test_from_dict_rejects_malformed_blob(edit):
     blob = json.loads(json.dumps(SkewOrthogonal.create(4, seed=25).to_dict(), default=encode))
     SkewOrthogonal.from_dict(blob)
