@@ -49,13 +49,16 @@ already updated.
 
 The metrics CSV must be byte-identical across reruns of the same config
 and seed, so its wall_ms column is pinned to 0; measured per-iteration
-times go to a timing.csv sidecar next to it.
+times go to a timing.csv sidecar next to it. At eval iterations every
+orthogonal step also measures the exact ||E||_2, and orthogonal.csv gets
+one row per weight (ortho_set order) with its contraction certificate,
+that spectral norm and its drift; an aborted iteration writes none.
 
-Every artifact (metrics.csv, timing.csv, config.json, checkpoint.json,
-an ablation's summary.json) is written to a temporary file in its
-directory and then renamed over the old one, so a process that dies
-mid-write leaves the earlier file whole. Nothing is fsynced: this does
-not guard against a power loss.
+Every artifact (metrics.csv, timing.csv, orthogonal.csv, config.json,
+checkpoint.json, an ablation's summary.json) is written to a temporary
+file in its directory and then renamed over the old one, so a process
+that dies mid-write leaves the earlier file whole. Nothing is fsynced:
+this does not guard against a power loss.
 
 A checkpoint is one JSON document tagged ncgru-checkpoint-v2 in which
 every float64 array is an ncgru.codec record, base64 of its
@@ -89,6 +92,7 @@ _EVAL_SEED = 1
 _BATCH_SEED_BASE = 2
 
 METRICS_HEADER = "step,train_loss,eval_loss,drift,contraction_norm,wall_ms"
+ORTHO_HEADER = "step,weight,contraction_norm,spectral_norm,drift"
 _FORMAT = "ncgru-checkpoint-v2"
 
 
@@ -492,7 +496,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                             cfg.train.seed + _EVAL_SEED, **tsec.generator_kwargs())
 
     metrics: list[MetricRow] = []
-    timings: list[tuple[int, int]] = []
+    timings: list[str] = []
+    ortho_rows: list[str] = []
     status = "completed"
     final_eval = None
     max_drift = 0.0
@@ -518,22 +523,27 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                         continue
                     arr -= opt.step(name, getattr(result.grads, name))
 
+                is_eval = k % cfg.train.eval_every == 0 or k == cfg.train.iterations
                 drift = 0.0
                 contraction = 0.0
+                sampled = []
                 for name in ortho:
                     skew = model.skews[name]
                     grad_a = skew.grad_pullback(getattr(result.grads, name))
                     delta = opt_a.step("A_" + name, grad_a)
                     if cfg.model.exact_inverse_mode:
-                        diag = skew.exact_step(delta)
+                        diag = skew.exact_step(delta, sample=is_eval)
                     else:
-                        diag = skew.neumann_step(delta)
+                        diag = skew.neumann_step(delta, sample=is_eval)
                     setattr(params, name, skew.u)
                     drift = max(drift, diag.drift)
                     contraction = max(contraction, diag.contraction_norm)
+                    if is_eval:
+                        sampled.append(f"{k},{name},{diag.contraction_norm!r},"
+                                       f"{diag.spectral_norm!r},{diag.drift!r}")
 
                 eval_loss = None
-                if k % cfg.train.eval_every == 0 or k == cfg.train.iterations:
+                if is_eval:
                     eval_loss = evaluate(model, eval_batch)
                     if not np.isfinite(eval_loss):
                         raise NumericError(f"non-finite eval loss at iteration {k}")
@@ -548,7 +558,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
         max_contraction = max(max_contraction, contraction)
         metrics.append(MetricRow(step=k, train_loss=result.loss, eval_loss=eval_loss,
                                  drift=drift, contraction_norm=contraction))
-        timings.append((k, int(round((time.perf_counter() - t0) * 1000))))
+        ortho_rows.extend(sampled)
+        timings.append(f"{k},{int(round((time.perf_counter() - t0) * 1000))}")
 
     run = RunResult(config=cfg, status=status, metrics=metrics, final_eval=final_eval,
                     max_drift=max_drift, max_contraction=max_contraction)
@@ -557,10 +568,8 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
         run.out_dir = out_dir
         run.metrics_path = os.path.join(out_dir, "metrics.csv")
         write_metrics_csv(metrics, run.metrics_path)
-        with _replacing(os.path.join(out_dir, "timing.csv")) as fh:
-            fh.write("step,wall_ms\n")
-            for step, ms in timings:
-                fh.write(f"{step},{ms}\n")
+        _write_csv(os.path.join(out_dir, "timing.csv"), "step,wall_ms", timings)
+        _write_csv(os.path.join(out_dir, "orthogonal.csv"), ORTHO_HEADER, ortho_rows)
         _write_json(os.path.join(out_dir, "config.json"), cfg.to_dict(),
                     indent=2, sort_keys=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.json")
@@ -597,11 +606,13 @@ def _write_json(path, blob, **dump_kwargs) -> None:
         fh.write("\n")
 
 
-def write_metrics_csv(metrics, path) -> None:
-    lines = [METRICS_HEADER]
-    lines.extend(row.to_csv_row() for row in metrics)
+def _write_csv(path, header: str, rows) -> None:
     with _replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
+def write_metrics_csv(metrics, path) -> None:
+    _write_csv(path, METRICS_HEADER, (row.to_csv_row() for row in metrics))
 
 
 def read_metrics_csv(path) -> list[MetricRow]:

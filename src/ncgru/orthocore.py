@@ -16,12 +16,18 @@ Atil ~= (I + A)^-1 is advanced in place with a truncated Neumann series:
     E = Atil @ dA
     Atil <- (I + E + ... + E^p) @ Atil        after  A <- A - dA
 
-which is exact up to O(||E||^(p+1)) while ||E|| < 1. The series contraction
-norm ||E||_2 is returned as a per-step diagnostic together with the
-orthogonality defect of the refreshed U; crossing ||E|| >= 1 logs a warning
-(the update is still applied, the caller decides what to do). Periodic
-exact-inverse resets pull the accumulated truncation error back to machine
-precision.
+which is exact up to O(||E||^(p+1)) while ||E||_2 < 1. Each step proves
+that condition with ||E||_F, an O(n^2) reduction of the E it has already
+formed: ||E||_2 <= ||E||_F, so a Frobenius norm below 1 certifies the
+series. Only when the certificate reaches 1 is the exact ||E||_2 computed
+(about four n x n matmuls at n=256) and reported in its place; a value
+>= 1 logs a warning (the update is still applied, the caller decides what
+to do). sample=True asks for the exact ||E||_2 on a step regardless.
+An Adam step of size lr certifies at roughly lr * n (||Atil||_2 <= 1 for
+every skew A), so at lr 1e-3 a model with n >~ 1000 pays for the exact
+norm on every step. The diagnostics also carry the orthogonality defect of
+the refreshed U. Periodic exact-inverse resets pull the accumulated
+truncation error back to machine precision.
 
 Loss gradients reach A through the chain rule of the transform above:
 given dL/dU, with the cached inverse standing in for (I + A)^-T,
@@ -118,15 +124,21 @@ def cayley_transform(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 class NeumannDiagnostics:
     """Per-update health readings.
 
-    contraction_norm is the exact ||Atil @ dA||_2 measured before the
-    update was applied; drift is ||U^T U - I||_F measured after (so a step
-    that triggered a reset reports the post-reset value); step counts
-    updates applied since the state was created.
+    contraction_norm certifies the series for E = Atil @ dA, measured
+    before the update was applied: ||E||_F when that is below 1, else the
+    exact ||E||_2. It is < 1 exactly when ||E||_2 < 1, and never below
+    ||E||_2 unless the squares of E's entries underflow (all entries
+    below about 1e-160). spectral_norm is the exact ||E||_2 when the step
+    was sampled or the certificate reached 1, else None. drift is
+    ||U^T U - I||_F measured after the update (so a step that triggered a
+    reset reports the post-reset value); step counts updates applied since
+    the state was created.
     """
 
     contraction_norm: float
     drift: float
     step: int
+    spectral_norm: float | None = None
 
 
 @dataclass
@@ -217,10 +229,17 @@ class SkewOrthogonal:
         v = self.a_tilde.T @ grad_u @ m
         return v.T - v
 
-    def _apply_delta(self, delta_a: np.ndarray) -> tuple[np.ndarray, float]:
-        """Start of both steps: validate delta_a, measure ||E||_2 for
-        E = a_tilde @ delta_a, apply A <- A - delta_a and count the step.
-        Returns (E, ||E||_2); a_tilde and u are left to the caller."""
+    def _apply_delta(self, delta_a: np.ndarray, sample: bool
+                     ) -> tuple[np.ndarray, float, float | None]:
+        """Start of both steps: validate delta_a, certify E = a_tilde @
+        delta_a, apply A <- A - delta_a and count the step. Returns
+        (E, contraction, exact ||E||_2 or None); a_tilde and u are left to
+        the caller.
+
+        The contraction is ||E||_F while that is below 1, else the exact
+        ||E||_2, so ">= 1" is never a false alarm of the cheap bound. A NaN
+        or Inf ||E||_F fails the < 1 test too, so it reaches spectral_norm's
+        finiteness check and raises NumericError."""
         # finiteness first: a diverging run must end in NumericError (a
         # numeric abort), not in check_skew's ShapeError
         ensure_finite(delta_a, "delta_a")
@@ -228,16 +247,21 @@ class SkewOrthogonal:
         if delta_a.shape != self.a.shape:
             raise ShapeError(f"delta shape {delta_a.shape} does not match parameter {self.a.shape}")
         e = self.a_tilde @ delta_a
-        contraction = spectral_norm(e)
+        contraction = float(np.linalg.norm(e))
+        certified = contraction < 1.0
+        exact = spectral_norm(e) if sample or not certified else None
+        if not certified:
+            contraction = exact
         self.a = self.a - delta_a
         self.step += 1
         self.steps_since_reset += 1
-        return e, contraction
+        return e, contraction, exact
 
-    def neumann_step(self, delta_a: np.ndarray) -> NeumannDiagnostics:
+    def neumann_step(self, delta_a: np.ndarray, sample: bool = False) -> NeumannDiagnostics:
         """Apply A <- A - delta_a and advance the cached inverse by the
-        order-p truncated Neumann series. Returns diagnostics."""
-        e, contraction = self._apply_delta(delta_a)
+        order-p truncated Neumann series. Returns diagnostics; sample=True
+        also measures the exact ||E||_2."""
+        e, contraction, exact = self._apply_delta(delta_a, sample)
         if contraction >= 1.0:
             logger.warning(
                 "Neumann contraction norm %.3f >= 1 at step %d; series no longer converges",
@@ -255,14 +279,16 @@ class SkewOrthogonal:
         else:
             self._refresh_u()
         ensure_finite(self.u, "u after Neumann update")
-        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(), step=self.step)
+        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(),
+                                  step=self.step, spectral_norm=exact)
 
-    def exact_step(self, delta_a: np.ndarray) -> NeumannDiagnostics:
+    def exact_step(self, delta_a: np.ndarray, sample: bool = False) -> NeumannDiagnostics:
         """Apply A <- A - delta_a with a fresh exact inverse (the ablation
-        reference arm). Diagnostics mirror neumann_step."""
-        _, contraction = self._apply_delta(delta_a)
+        reference arm). Diagnostics and sample mirror neumann_step."""
+        _, contraction, exact = self._apply_delta(delta_a, sample)
         self.reset()
-        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(), step=self.step)
+        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(),
+                                  step=self.step, spectral_norm=exact)
 
     def to_dict(self) -> dict:
         """Snapshot for json.dump(..., default=codec.encode), which stores

@@ -336,11 +336,12 @@ def test_c12_optimizers_preserve_skew_structure():
 
 def test_c13_metric_csvs_byte_identical(tmp_path):
     """Two executions of the same config and seed write byte-identical
-    metrics CSVs."""
+    metrics CSVs and orthogonal.csv sidecars."""
     cfg = _adding_config(50, iterations=40, eval_every=10)
     run_training(cfg, out_dir=str(tmp_path / "a"))
     run_training(cfg, out_dir=str(tmp_path / "b"))
-    a = (tmp_path / "a" / "metrics.csv").read_bytes()
-    b = (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert a == b
-    assert len(a.splitlines()) == 41
+    for name, lines in (("metrics.csv", 41), ("orthogonal.csv", 5)):
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
+        assert a == b
+        assert len(a.splitlines()) == lines

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncgru import orthocore
 from ncgru.cli import main
 from ncgru.codec import decode, encode
 from ncgru.errors import ConfigError, ContractError
@@ -17,6 +18,7 @@ from ncgru.harness import (
     ExperimentConfig,
     LinearReadoutMse,
     METRICS_HEADER,
+    ORTHO_HEADER,
     SoftmaxReadoutXent,
     load_checkpoint,
     read_metrics_csv,
@@ -266,6 +268,68 @@ def test_run_contraction_column_populated_every_ortho_step():
     for row in run2.metrics:
         assert row.contraction_norm == 0.0
         assert row.drift == 0.0
+
+
+def _ortho_rows(path):
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == ORTHO_HEADER
+    rows = []
+    for line in lines[1:]:
+        step, weight, contraction, spectral, drift = line.split(",")
+        rows.append((int(step), weight, float(contraction), float(spectral), float(drift)))
+    return rows
+
+
+THREE_ORTHO = {"model.ortho_set": ["U_r", "U_u", "U_c"]}
+
+
+def test_orthogonal_csv_samples_eval_iterations(tmp_path):
+    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **{"train.iterations": 7,
+                                                               "train.eval_every": 3}))
+    run = run_training(cfg, out_dir=str(tmp_path))
+    rows = _ortho_rows(tmp_path / "orthogonal.csv")
+    assert [(r[0], r[1]) for r in rows] == [(k, name) for k in (3, 6, 7)
+                                            for name in ("u_r", "u_u", "u_c")]
+    for _, _, contraction, spectral, _ in rows:
+        assert 0.0 < spectral <= contraction < 1.0
+    drift_at = {r.step: r.drift for r in run.metrics}
+    for k in (3, 6, 7):
+        assert max(r[4] for r in rows if r[0] == k) == drift_at[k]
+
+
+def test_orthogonal_csv_header_only_without_orthogonal_weights(tmp_path):
+    cfg = ExperimentConfig.from_dict(make_cfg(**{"model.variant": "GRU"}))
+    run_training(cfg, out_dir=str(tmp_path))
+    assert (tmp_path / "orthogonal.csv").read_text() == ORTHO_HEADER + "\n"
+
+
+def test_numeric_abort_writes_no_orthogonal_row(tmp_path):
+    # At lr 1e8 iteration 2 aborts in the step of u_u, after u_r was
+    # already stepped and sampled.
+    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **{"optimizer.lr": 1e8,
+                                                               "train.eval_every": 1}))
+    run = run_training(cfg, out_dir=str(tmp_path))
+    assert run.status == "numeric_error"
+    assert len(run.metrics) == 2
+    rows = _ortho_rows(tmp_path / "orthogonal.csv")
+    assert [(r[0], r[1]) for r in rows] == [(1, "u_r"), (1, "u_u"), (1, "u_c")]
+
+
+def test_exact_spectral_norm_runs_only_at_eval_iterations(monkeypatch):
+    calls = []
+    exact = orthocore.spectral_norm
+
+    def counted(m):
+        calls.append(m.shape)
+        return exact(m)
+
+    monkeypatch.setattr(orthocore, "spectral_norm", counted)
+    for mode in (False, True):
+        calls.clear()
+        cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **{
+            "train.iterations": 10, "train.eval_every": 5, "model.exact_inverse_mode": mode}))
+        assert run_training(cfg).status == "completed"
+        assert len(calls) == 6
 
 
 def test_run_numeric_error_aborts_with_structured_row():
@@ -633,6 +697,7 @@ def test_cli_train_and_artifacts(tmp_path):
     assert (out / "checkpoint.json").exists()
     assert (out / "config.json").exists()
     assert (out / "timing.csv").exists()
+    assert (out / "orthogonal.csv").exists()
 
 
 def test_cli_train_seed_override(tmp_path):

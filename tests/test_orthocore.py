@@ -241,24 +241,67 @@ def test_neumann_update_accuracy_small_step():
     sk = SkewOrthogonal.create(16, seed=8, reset_every=0)
     delta = 1e-4 * random_skew(16, seed=9)
     e = sk.a_tilde @ delta
-    diag = sk.neumann_step(delta)
-    # The contraction diagnostic is the exact ||E||_2, not an estimate.
+    diag = sk.neumann_step(delta, sample=True)
+    # The contraction diagnostic is the ||E||_F certificate; the sampled
+    # spectral_norm is the exact ||E||_2.
     want = np.linalg.svd(e, compute_uv=False)[0]
-    assert abs(diag.contraction_norm - want) <= 1e-12 * want
+    assert diag.contraction_norm == np.linalg.norm(e)
+    assert diag.contraction_norm >= want
+    assert abs(diag.spectral_norm - want) <= 1e-12 * want
     true_inv = exact_inverse(np.eye(16) + sk.a)
     # Order 2 leaves O(||E||^3) truncation error, about 6e-11 here.
     assert np.max(np.abs(sk.a_tilde - true_inv)) < 1e-9
 
 
 def test_contraction_norm_exact_at_n256():
-    """The monitor on a real n=256 E = Atil @ dA (an Adam step on a pulled
-    back gradient) matches the SVD's top singular value."""
+    """On a real n=256 E = Atil @ dA (an Adam step on a pulled back
+    gradient) the certificate is ||E||_F, above the SVD's top singular
+    value, and a sampled step's spectral_norm matches that value."""
     sk = SkewOrthogonal.create(256, seed=30, reset_every=0)
     grad_u = np.random.default_rng(31).normal(size=(256, 256))
     delta = Optimizer("adam", lr=1e-3).step("a", sk.grad_pullback(grad_u))
-    want = np.linalg.svd(sk.a_tilde @ delta, compute_uv=False)[0]
-    diag = sk.neumann_step(delta)
-    assert abs(diag.contraction_norm - want) <= 1e-13 * want
+    e = sk.a_tilde @ delta
+    want = np.linalg.svd(e, compute_uv=False)[0]
+    diag = sk.neumann_step(delta, sample=True)
+    assert diag.contraction_norm == np.linalg.norm(e)
+    assert diag.contraction_norm >= want
+    assert abs(diag.spectral_norm - want) <= 1e-13 * want
+
+
+def test_unsampled_step_skips_the_exact_norm():
+    sk = SkewOrthogonal.create(16, seed=8)
+    for step in (sk.neumann_step, sk.exact_step):
+        diag = step(1e-4 * random_skew(16, seed=9))
+        assert diag.spectral_norm is None
+        assert 0.0 < diag.contraction_norm < 1.0
+
+
+def test_certificate_at_one_falls_back_to_exact_norm(caplog):
+    """||E||_F = 8 cannot certify, but ||E||_2 = 0.5 does: the step reports
+    the exact value and logs nothing."""
+    n = 256
+    sk = SkewOrthogonal(a=np.zeros((n, n)), d=np.ones(n), a_tilde=np.eye(n), reset_every=0)
+    delta = np.kron(np.eye(n // 2), [[0.0, 0.5], [-0.5, 0.0]])
+    assert np.linalg.norm(delta) == 8.0
+    with caplog.at_level("WARNING", logger="ncgru.orthocore"):
+        diag = sk.neumann_step(delta)
+    assert abs(diag.contraction_norm - 0.5) < 1e-12
+    assert diag.spectral_norm == diag.contraction_norm
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("kind", ["neumann_step", "exact_step"])
+def test_overflowing_e_is_a_numeric_error(kind):
+    """A finite skew delta whose E overflows aborts the step with
+    NumericError instead of recording a NaN contraction."""
+    n = 8
+    upper = np.triu(np.full((n, n), 1.5e308), k=1)
+    delta = upper - upper.T
+    sk = SkewOrthogonal.create(n, seed=3)
+    a0 = sk.a.copy()
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        getattr(sk, kind)(delta)
+    assert np.array_equal(sk.a, a0)
 
 
 def test_neumann_order_law():
