@@ -49,6 +49,7 @@ def exact_inverse(m: np.ndarray) -> np.ndarray:
 
     Raises SingularMatrixError when any pivot falls below
     1e-14 * ||m||_F, i.e. when the matrix is singular to working precision.
+    The result is Fortran-ordered: dgetri inverts in place, column-major.
     """
     m = _require_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:

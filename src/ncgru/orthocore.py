@@ -29,6 +29,14 @@ norm on every step. The diagnostics also carry the orthogonality defect of
 the refreshed U. Periodic exact-inverse resets pull the accumulated
 truncation error back to machine precision.
 
+U is refreshed after every update. Right after an exact inverse (every
+exact-arm step, and every reset once the state has stepped) it is formed
+elementwise, U = (2 Atil - I) diag(d), since (I + A)^-1 (I - A) =
+2 (I + A)^-1 - I. Otherwise it is the product Atil (I - A) diag(d): a
+Neumann-advanced Atil is not an exact inverse, and a fresh state keeps the
+product because both arms start from it and a zero Neumann step must
+reproduce it bit for bit.
+
 Loss gradients reach A through the chain rule of the transform above:
 given dL/dU, with the cached inverse standing in for (I + A)^-T,
 
@@ -104,20 +112,22 @@ def check_skew(m: np.ndarray, what: str) -> np.ndarray:
     # checked apart: a NaN defect would pass the comparison below
     if not np.all(np.isfinite(m)):
         raise ShapeError(f"{what} has NaN or Inf entries")
-    defect = float(np.max(np.abs(m + m.T))) if m.size else 0.0
+    sym = m + m.T
+    defect = float(np.max(np.abs(sym, out=sym), initial=0.0))
     if defect > _SKEW_ATOL:
         raise ShapeError(f"{what} is not skew-symmetric (max |m + m^T| = {defect:.3e})")
     return m
 
 
 def cayley_transform(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """U = (I + a)^-1 (I - a) diag(d), via an exact LU inverse."""
+    """U = (I + a)^-1 (I - a) diag(d), via an exact LU inverse and the
+    identity (I + a)^-1 (I - a) = 2 (I + a)^-1 - I."""
     a = check_skew(a, "a")
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (a.shape[0],):
         raise ShapeError(f"scaling shape {d.shape} does not match matrix {a.shape}")
     eye = np.eye(a.shape[0])
-    return exact_inverse(eye + a) @ ((eye - a) * d)
+    return (2.0 * exact_inverse(eye + a) - eye) * d
 
 
 @dataclass
@@ -127,12 +137,11 @@ class NeumannDiagnostics:
     contraction_norm certifies the series for E = Atil @ dA, measured
     before the update was applied: ||E||_F when that is below 1, else the
     exact ||E||_2. It is < 1 exactly when ||E||_2 < 1, and never below
-    ||E||_2 unless the squares of E's entries underflow (all entries
-    below about 1e-160). spectral_norm is the exact ||E||_2 when the step
-    was sampled or the certificate reached 1, else None. drift is
-    ||U^T U - I||_F measured after the update (so a step that triggered a
-    reset reports the post-reset value); step counts updates applied since
-    the state was created.
+    ||E||_2. spectral_norm is the exact ||E||_2 when the step was sampled
+    or the certificate reached 1, else None. drift is ||U^T U - I||_F
+    measured after the update (so a step that triggered a reset reports
+    the post-reset value); step counts updates applied since the state
+    was created.
     """
 
     contraction_norm: float
@@ -201,18 +210,34 @@ class SkewOrthogonal:
         return self.a.shape[0]
 
     def _refresh_u(self) -> None:
-        eye = np.eye(self.n)
-        self.u = self.a_tilde @ ((eye - self.a) * self.d)
+        """u by the module's refresh rule: (2 a_tilde - I) diag(d), in
+        O(n^2), right after an exact reset (steps_since_reset == 0 < step),
+        else the product a_tilde (I - A) diag(d). Step 0 keeps the product:
+        both arms start from that u, and a zero Neumann step must reproduce
+        it bit for bit. The elementwise u is built C-ordered: exact_inverse
+        returns a_tilde F-ordered, and an F-ordered u slows every product
+        with it."""
+        n, d = self.n, self.d
+        if self.steps_since_reset == 0 < self.step:
+            self.u = np.multiply(self.a_tilde, 2.0 * d, order="C")
+            self.u.flat[:: n + 1] -= d
+        else:
+            # 0 - a, not -a: keeps the signed zeros of I - A
+            m = 0.0 - self.a
+            m *= d
+            m.flat[:: n + 1] += d
+            self.u = self.a_tilde @ m
 
     def drift(self) -> float:
         """Orthogonality defect ||u^T u - I||_F of the cached u."""
         return fro_dist_identity(self.u)
 
     def reset(self) -> None:
-        """Recompute a_tilde exactly and refresh u; zeroes the reset counter."""
+        """Recompute a_tilde exactly, zero the reset counter and refresh u
+        (elementwise once the state has stepped; see _refresh_u)."""
         self.a_tilde = exact_inverse(np.eye(self.n) + self.a)
-        self._refresh_u()
         self.steps_since_reset = 0
+        self._refresh_u()
 
     def grad_pullback(self, grad_u: np.ndarray) -> np.ndarray:
         """Map dL/dU to the skew gradient dL/dA = V^T - V,
@@ -225,7 +250,8 @@ class SkewOrthogonal:
         if grad_u.shape != self.a.shape:
             raise ShapeError(f"grad shape {grad_u.shape} does not match parameter {self.a.shape}")
         ensure_finite(grad_u, "grad_u")
-        m = self.u.T + np.diag(self.d)
+        m = self.u.T.copy()
+        m.flat[:: self.n + 1] += self.d
         v = self.a_tilde.T @ grad_u @ m
         return v.T - v
 
@@ -248,6 +274,10 @@ class SkewOrthogonal:
             raise ShapeError(f"delta shape {delta_a.shape} does not match parameter {self.a.shape}")
         e = self.a_tilde @ delta_a
         contraction = float(np.linalg.norm(e))
+        if contraction < 1e-150 and np.any(e):
+            # entries below about 1e-160 square to 0 unless scaled first
+            scale = float(np.max(np.abs(e)))
+            contraction = scale * float(np.linalg.norm(e / scale))
         certified = contraction < 1.0
         exact = spectral_norm(e) if sample or not certified else None
         if not certified:

@@ -458,3 +458,64 @@ def test_skew_invariant_through_training_noise():
         sk.neumann_step(1e-3 * (m - m.T) / 2.0)
         assert np.max(np.abs(sk.a + sk.a.T)) < 1e-14
         assert np.all(np.abs(sk.d) == 1.0)
+
+
+def _product_u(sk):
+    return sk.a_tilde @ ((np.eye(sk.n) - sk.a) * sk.d)
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).tobytes()
+
+
+def test_refresh_after_exact_inverse_is_elementwise_at_n256():
+    """Right after an exact inverse, u is (2 Atil - I) D bit for bit,
+    C-ordered, and agrees with the product Atil (I - A) D to rounding."""
+    n = 256
+    sk = SkewOrthogonal.create(n, seed=40, reset_every=0)
+    sk.neumann_step(1e-4 * random_skew(n, seed=42))
+    for advance in (sk.reset, lambda: sk.exact_step(1e-4 * random_skew(n, seed=43))):
+        advance()
+        assert sk.steps_since_reset == 0 < sk.step
+        want = (2.0 * sk.a_tilde - np.eye(n)) * sk.d
+        assert _bits(sk.u) == _bits(want)
+        assert sk.u.flags.c_contiguous
+        assert np.max(np.abs(sk.u - _product_u(sk))) < 1e-13
+        assert sk.drift() < 1e-10 * n
+
+
+def test_from_dict_rebuilds_u_after_an_exact_inverse():
+    """A state saved right after exact_step, or right after a Neumann
+    arm's periodic reset, loads with the same u bit for bit."""
+    n = 12
+    exact = SkewOrthogonal.create(n, seed=44)
+    exact.exact_step(1e-3 * random_skew(n, seed=45))
+    periodic = SkewOrthogonal.create(n, seed=44, reset_every=2)
+    for k in range(2):
+        periodic.neumann_step(1e-3 * random_skew(n, seed=46 + k))
+    assert periodic.steps_since_reset == 0 < periodic.step
+    for sk in (exact, periodic):
+        blob = json.loads(json.dumps(sk.to_dict(), default=encode))
+        back = SkewOrthogonal.from_dict(blob)
+        assert _bits(back.u) == _bits(sk.u)
+        assert _bits(sk.u) == _bits((2.0 * sk.a_tilde - np.eye(n)) * sk.d)
+
+
+def test_fresh_state_keeps_the_product():
+    """Before the first step u is Atil (I - A) D, also after a reset."""
+    sk = SkewOrthogonal.create(10, seed=47)
+    assert _bits(sk.u) == _bits(_product_u(sk))
+    sk.reset()
+    assert _bits(sk.u) == _bits(_product_u(sk))
+
+
+def test_certificate_survives_underflowing_squares():
+    """Every entry of E near 1e-170 squares to 0; the certificate is still
+    at least ||E||_2 and positive."""
+    sk = SkewOrthogonal.create(4, seed=48, reset_every=0)
+    delta = 1e-170 * random_skew(4, seed=49)
+    e = sk.a_tilde @ delta
+    assert np.linalg.norm(e) == 0.0
+    diag = sk.neumann_step(delta, sample=True)
+    assert diag.spectral_norm == spectral_norm(e)
+    assert diag.contraction_norm >= diag.spectral_norm > 0.0
