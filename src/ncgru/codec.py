@@ -4,8 +4,7 @@ encode turns an array into the record {"f8": base64 of its little-endian
 float64 bytes, "shape": [...]}. It is meant as json.dump's default hook,
 so the to_dict snapshots hold plain arrays and each record is built only
 while json.dump writes it. decode reads such a record back to the same
-bits, and also reads the nested decimal lists of v1 checkpoints.
-decode_int reads a counter, which must be a JSON integer.
+bits. decode_int reads a counter, which must be a JSON integer.
 
 reading() turns the KeyError, TypeError or ValueError that a malformed
 blob raises inside a from_dict into ContractError.
@@ -32,33 +31,29 @@ def encode(obj) -> dict:
 
 
 def decode(value, what: str) -> np.ndarray:
-    """A fresh writable float64 array from an f8 record, or from a nested
-    list (a v1 checkpoint) or array of numbers. Raises ContractError for
-    anything else, naming what."""
-    if isinstance(value, dict):
-        shape, data = value.get("shape"), value.get("f8")
-        if set(value) != {"f8", "shape"}:
-            raise ContractError(f"{what} must be a record with keys f8 and shape, "
-                                f"got {sorted(value)}")
-        if not (isinstance(shape, list) and all(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in shape)):
-            raise ContractError(f"{what} shape must be a list of integers >= 0, got {shape!r}")
-        try:
-            raw = base64.b64decode(data, validate=True)
-        except (TypeError, ValueError) as err:
-            raise ContractError(f"{what} f8 is not base64: {err}") from None
-        if len(raw) != 8 * math.prod(shape):
-            raise ContractError(f"{what} holds {len(raw)} bytes, shape {shape} "
-                                f"needs {8 * math.prod(shape)}")
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    """A fresh writable float64 array from an f8 record, or a copy of a
+    numeric array (a to_dict snapshot). Raises ContractError for anything
+    else, a nested list included, naming what."""
+    if isinstance(value, np.ndarray):
+        # a string, boolean or object array would otherwise convert or fail late
+        if value.dtype.kind not in "iuf":
+            raise ContractError(f"{what} must hold only numbers, got {value.dtype} entries")
+        return value.astype(np.float64)
+    if not isinstance(value, dict) or set(value) != {"f8", "shape"}:
+        got = sorted(value) if isinstance(value, dict) else type(value).__name__
+        raise ContractError(f"{what} must be a record with keys f8 and shape, got {got}")
+    shape, data = value["shape"], value["f8"]
+    if not (isinstance(shape, list) and all(
+            isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in shape)):
+        raise ContractError(f"{what} shape must be a list of integers >= 0, got {shape!r}")
     try:
-        arr = np.array(value)
-    except ValueError as err:  # ragged nesting
-        raise ContractError(f"{what} is not an array of numbers: {err}") from None
-    # a string, boolean or null would otherwise convert to a float or NaN
-    if arr.dtype.kind not in "iuf":
-        raise ContractError(f"{what} must hold only numbers, got {arr.dtype} entries")
-    return arr.astype(np.float64, copy=False)
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as err:
+        raise ContractError(f"{what} f8 is not base64: {err}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ContractError(f"{what} holds {len(raw)} bytes, shape {shape} "
+                            f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def decode_int(value, what: str) -> int:

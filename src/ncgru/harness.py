@@ -42,10 +42,10 @@ Each training iteration: generate batch -> sequence_bptt -> optimizer
 steps for ordinary weights and the readout -> for every weight in
 ortho_set, grad_pullback then a Neumann (or exact-inverse) step -> emit a
 MetricRow. A non-finite training or eval loss, gradient or orthogonal
-state ends the run with one structured row (train_loss = nan) and status
-"numeric_error" instead of a crash; such a run writes no checkpoint,
-because the abort can come after some weights of the iteration were
-already updated.
+state, or an I + A too ill-conditioned to invert, ends the run with one
+structured row (train_loss = nan) and status "numeric_error" instead of
+a crash; such a run writes no checkpoint, because the abort can come
+after some weights of the iteration were already updated.
 
 The metrics CSV must be byte-identical across reruns of the same config
 and seed, so its wall_ms column is pinned to 0; measured per-iteration
@@ -63,7 +63,6 @@ this does not guard against a power loss.
 A checkpoint is one JSON document tagged ncgru-checkpoint-v2 in which
 every float64 array is an ncgru.codec record, base64 of its
 little-endian bytes plus its shape, so a load gives back the same bits.
-v1 files, which hold the arrays as decimal lists, still load.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ import numpy as np
 from . import tasks
 from .cells import CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward
 from .codec import decode, decode_int, encode, reading
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError, SingularMatrixError
 from .optim import _KINDS, Optimizer
 from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
 from .tasks import TaskBatch, make_batch, task_dims
@@ -548,7 +547,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                     if not np.isfinite(eval_loss):
                         raise NumericError(f"non-finite eval loss at iteration {k}")
                     final_eval = eval_loss
-        except NumericError:
+        except (NumericError, SingularMatrixError):
             metrics.append(MetricRow(step=k, train_loss=float("nan"), eval_loss=None,
                                      drift=max_drift, contraction_norm=max_contraction))
             status = "numeric_error"
@@ -668,9 +667,9 @@ class Checkpoint:
 
 
 def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
-    """A checkpoint array (a codec record or a v1 list, decoded; an array
-    already rebuilt, as is) checked against like, the array build_model
-    makes in its place (None: the model has no such array)."""
+    """A checkpoint array (a codec record, decoded; an array already
+    rebuilt, as is) checked against like, the array build_model makes in
+    its place (None: the model has no such array)."""
     if like is None:
         raise ContractError(f"checkpoint has an unknown array {what}")
     arr = value if isinstance(value, np.ndarray) else decode(value, what)
@@ -681,26 +680,26 @@ def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a run's state from save_checkpoint's file, v2 or v1.
+    """Rebuild a run's state from save_checkpoint's file.
     Raises ContractError when the file is not such a checkpoint, misses a
     section or holds a malformed entry, or when an array's name or shape
     does not fit the model build_model makes from the stored config."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-        if blob.get("format") not in (_FORMAT, "ncgru-checkpoint-v1"):
+        if blob.get("format") != _FORMAT:
             raise ContractError(f"not an ncgru checkpoint: {path}")
         cfg = ExperimentConfig.from_dict(blob["config"])
         model = build_model(cfg)
         built = dict(model.params.named_arrays())
         for name, arr in blob["params"].items():
-            setattr(model.params, name, _stored_array(arr, built.get(name), f"params.{name}"))
+            # an orthogonal weight is stored only as its skew state
+            like = None if name in model.skews else built.get(name)
+            setattr(model.params, name, _stored_array(arr, like, f"params.{name}"))
         if set(blob["skews"]) != set(cfg.model.ortho_set):
             raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
                                 f"the config's ortho_set {list(cfg.model.ortho_set)}")
         model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
-        # files written before the orthogonal weights left "params" list them
-        # there too; the skew state is authoritative either way
         for name, skew in model.skews.items():
             setattr(model.params, name, _stored_array(skew.u, built[name], f"skews.{name}"))
         model.readout_w = _stored_array(blob["readout"]["w"], model.readout_w, "readout.w")

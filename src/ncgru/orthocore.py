@@ -21,13 +21,14 @@ that condition with ||E||_F, an O(n^2) reduction of the E it has already
 formed: ||E||_2 <= ||E||_F, so a Frobenius norm below 1 certifies the
 series. Only when the certificate reaches 1 is the exact ||E||_2 computed
 (about four n x n matmuls at n=256) and reported in its place; a value
->= 1 logs a warning (the update is still applied, the caller decides what
-to do). sample=True asks for the exact ||E||_2 on a step regardless.
-An Adam step of size lr certifies at roughly lr * n (||Atil||_2 <= 1 for
-every skew A), so at lr 1e-3 a model with n >~ 1000 pays for the exact
-norm on every step. The diagnostics also carry the orthogonality defect of
-the refreshed U. Periodic exact-inverse resets pull the accumulated
-truncation error back to machine precision.
+>= 1 means the series would diverge, so that step takes an exact inverse
+instead, with or without periodic resets; only the diagnostics record it.
+sample=True asks for the exact ||E||_2 on a step regardless. An Adam step
+of size lr certifies at roughly lr * n (||Atil||_2 <= 1 for every skew
+A), so at lr 1e-3 a model with n >~ 1000 pays for the exact norm on every
+step. The diagnostics also carry the orthogonality defect of the
+refreshed U. Periodic exact-inverse resets (which skip the series) pull
+the accumulated truncation error back to machine precision.
 
 U is refreshed after every update. Right after an exact inverse (every
 exact-arm step, and every reset once the state has stepped) it is formed
@@ -49,7 +50,6 @@ maps skew to skew keeps the parameterization closed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +57,6 @@ import numpy as np
 from .codec import decode, decode_int, reading
 from .errors import ShapeError
 from .linalg import ensure_finite, exact_inverse, fro_dist_identity, spectral_norm
-
-logger = logging.getLogger(__name__)
 
 _SKEW_ATOL = 1e-10
 
@@ -137,16 +135,15 @@ class NeumannDiagnostics:
     contraction_norm certifies the series for E = Atil @ dA, measured
     before the update was applied: ||E||_F when that is below 1, else the
     exact ||E||_2. It is < 1 exactly when ||E||_2 < 1, and never below
-    ||E||_2. spectral_norm is the exact ||E||_2 when the step was sampled
-    or the certificate reached 1, else None. drift is ||U^T U - I||_F
-    measured after the update (so a step that triggered a reset reports
-    the post-reset value); step counts updates applied since the state
-    was created.
+    ||E||_2; a value >= 1 means the step re-inverted instead of applying
+    the series. spectral_norm is the exact ||E||_2 when the step was
+    sampled or the certificate reached 1, else None. drift is
+    ||U^T U - I||_F measured after the update (so a step that re-inverted
+    reports the post-reset value).
     """
 
     contraction_norm: float
     drift: float
-    step: int
     spectral_norm: float | None = None
 
 
@@ -157,7 +154,8 @@ class SkewOrthogonal:
     Fields a (skew), d (+/-1 diagonal) are the parameters; a_tilde caches
     (I + a)^-1 up to Neumann truncation error and u caches the assembled
     orthogonal matrix, derived on construction. steps_since_reset drives
-    the periodic exact reset (reset_every == 0 disables it).
+    the periodic exact reset (reset_every == 0 disables it); a step whose
+    series is uncertified resets either way.
     Construction checks the same rules for fresh and loaded state (a
     negative counter among them) and raises ShapeError on a violation.
     """
@@ -255,17 +253,17 @@ class SkewOrthogonal:
         v = self.a_tilde.T @ grad_u @ m
         return v.T - v
 
-    def _apply_delta(self, delta_a: np.ndarray, sample: bool
-                     ) -> tuple[np.ndarray, float, float | None]:
-        """Start of both steps: validate delta_a, certify E = a_tilde @
-        delta_a, apply A <- A - delta_a and count the step. Returns
-        (E, contraction, exact ||E||_2 or None); a_tilde and u are left to
-        the caller.
+    def _step(self, delta_a: np.ndarray, sample: bool, invert: bool) -> NeumannDiagnostics:
+        """Both steps: validate delta_a, certify E = a_tilde @ delta_a,
+        apply A <- A - delta_a, then either re-invert (reset) or advance
+        a_tilde by the order-p series. It re-inverts when invert is set
+        (the exact arm), when a periodic reset is due, or when the
+        certificate is >= 1, so an uncertified series is never applied.
 
         The contraction is ||E||_F while that is below 1, else the exact
         ||E||_2, so ">= 1" is never a false alarm of the cheap bound. A NaN
         or Inf ||E||_F fails the < 1 test too, so it reaches spectral_norm's
-        finiteness check and raises NumericError."""
+        finiteness check and raises NumericError before A is touched."""
         # finiteness first: a diverging run must end in NumericError (a
         # numeric abort), not in check_skew's ShapeError
         ensure_finite(delta_a, "delta_a")
@@ -285,40 +283,32 @@ class SkewOrthogonal:
         self.a = self.a - delta_a
         self.step += 1
         self.steps_since_reset += 1
-        return e, contraction, exact
+        if invert or contraction >= 1.0 or 0 < self.reset_every <= self.steps_since_reset:
+            self.reset()
+        else:
+            acc = self.a_tilde.copy()
+            term = self.a_tilde
+            for _ in range(self.neumann_order):
+                term = e @ term
+                acc += term
+            self.a_tilde = acc
+            ensure_finite(self.a_tilde, "a_tilde after Neumann update")
+            self._refresh_u()
+            ensure_finite(self.u, "u after Neumann update")
+        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(),
+                                  spectral_norm=exact)
 
     def neumann_step(self, delta_a: np.ndarray, sample: bool = False) -> NeumannDiagnostics:
         """Apply A <- A - delta_a and advance the cached inverse by the
-        order-p truncated Neumann series. Returns diagnostics; sample=True
-        also measures the exact ||E||_2."""
-        e, contraction, exact = self._apply_delta(delta_a, sample)
-        if contraction >= 1.0:
-            logger.warning(
-                "Neumann contraction norm %.3f >= 1 at step %d; series no longer converges",
-                contraction, self.step,
-            )
-        acc = self.a_tilde.copy()
-        term = self.a_tilde
-        for _ in range(self.neumann_order):
-            term = e @ term
-            acc += term
-        self.a_tilde = acc
-        ensure_finite(self.a_tilde, "a_tilde after Neumann update")
-        if self.reset_every > 0 and self.steps_since_reset >= self.reset_every:
-            self.reset()
-        else:
-            self._refresh_u()
-        ensure_finite(self.u, "u after Neumann update")
-        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(),
-                                  step=self.step, spectral_norm=exact)
+        order-p truncated Neumann series, or re-invert when a reset is due
+        or the series is uncertified. sample=True also measures the exact
+        ||E||_2."""
+        return self._step(delta_a, sample, invert=False)
 
     def exact_step(self, delta_a: np.ndarray, sample: bool = False) -> NeumannDiagnostics:
         """Apply A <- A - delta_a with a fresh exact inverse (the ablation
         reference arm). Diagnostics and sample mirror neumann_step."""
-        _, contraction, exact = self._apply_delta(delta_a, sample)
-        self.reset()
-        return NeumannDiagnostics(contraction_norm=contraction, drift=self.drift(),
-                                  step=self.step, spectral_norm=exact)
+        return self._step(delta_a, sample, invert=True)
 
     def to_dict(self) -> dict:
         """Snapshot for json.dump(..., default=codec.encode), which stores

@@ -12,7 +12,7 @@ import pytest
 
 from ncgru import orthocore
 from ncgru.cli import main
-from ncgru.codec import decode, encode
+from ncgru.codec import encode
 from ncgru.errors import ConfigError, ContractError
 from ncgru.harness import (
     ExperimentConfig,
@@ -281,6 +281,9 @@ def _ortho_rows(path):
 
 
 THREE_ORTHO = {"model.ortho_set": ["U_r", "U_u", "U_c"]}
+# diverges: iteration 2 needs an exact inverse of an I + A too
+# ill-conditioned to invert
+SGD_1E8 = {"optimizer.kind": "sgd", "optimizer.lr": 1e8}
 
 
 def test_orthogonal_csv_samples_eval_iterations(tmp_path):
@@ -304,10 +307,10 @@ def test_orthogonal_csv_header_only_without_orthogonal_weights(tmp_path):
 
 
 def test_numeric_abort_writes_no_orthogonal_row(tmp_path):
-    # At lr 1e8 iteration 2 aborts in the step of u_u, after u_r was
-    # already stepped and sampled.
-    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **{"optimizer.lr": 1e8,
-                                                               "train.eval_every": 1}))
+    # At SGD lr 1e8 iteration 2 aborts in the step of u_c, after u_r and
+    # u_u were already stepped and sampled.
+    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **SGD_1E8,
+                                              **{"train.eval_every": 1}))
     run = run_training(cfg, out_dir=str(tmp_path))
     assert run.status == "numeric_error"
     assert len(run.metrics) == 2
@@ -333,7 +336,7 @@ def test_exact_spectral_norm_runs_only_at_eval_iterations(monkeypatch):
 
 
 def test_run_numeric_error_aborts_with_structured_row():
-    cfg = ExperimentConfig.from_dict(make_cfg(**{"optimizer.lr": 1e8}))
+    cfg = ExperimentConfig.from_dict(make_cfg(**SGD_1E8))
     run = run_training(cfg)
     assert run.status == "numeric_error"
     last = run.metrics[-1]
@@ -348,7 +351,7 @@ def test_numeric_abort_writes_no_checkpoint(tmp_path, capsys):
     out = tmp_path / "out"
     run_training(ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG)), out_dir=str(out))
     assert (out / "checkpoint.json").exists()
-    blob = make_cfg(**{"optimizer.lr": 1e8})
+    blob = make_cfg(**SGD_1E8)
     run = run_training(ExperimentConfig.from_dict(blob), out_dir=str(out))
     assert run.status == "numeric_error"
     assert run.checkpoint_path is None
@@ -366,16 +369,40 @@ def test_numeric_abort_writes_no_checkpoint(tmp_path, capsys):
 
 
 def test_non_finite_eval_loss_aborts(tmp_path, capsys):
-    # At lr 1e12 the training loss of iteration 1 is still finite, but the
+    # At lr 1e100 the training loss of iteration 1 is still finite, but the
     # update it applies makes the eval after it overflow.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(make_cfg(**{"optimizer.lr": 1e12,
+    cfg_path.write_text(json.dumps(make_cfg(**{"optimizer.lr": 1e100,
                                                "train.iterations": 1})))
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().out.startswith("status=numeric_error ")
     rows = read_metrics_csv(out / "metrics.csv")
     assert len(rows) == 1 and np.isnan(rows[0].train_loss)
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("lr", [1e3, 1e8])
+def test_uncertified_neumann_step_reinverts(lr):
+    # Adam's first step at this lr puts ||E||_2 far past 1 on every weight;
+    # each re-inverts instead of applying the diverging series.
+    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **{"optimizer.lr": lr}))
+    first = run_training(cfg).metrics[0]
+    assert first.contraction_norm >= 1.0
+    assert first.drift < 1e-10 * 8
+
+
+def test_cli_singular_inverse_is_a_numeric_abort(tmp_path, capsys):
+    # SGD at lr 1e6 drives I + A past what exact_inverse can invert.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_cfg(**THREE_ORTHO, **{
+        "model.hidden": 7, "model.num_neg": 1, "model.exact_inverse_mode": True,
+        "optimizer.kind": "sgd", "optimizer.lr": 1e6})))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("status=numeric_error ")
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert np.isnan(rows[-1].train_loss)
     assert not (out / "checkpoint.json").exists()
 
 
@@ -393,77 +420,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def as_v1(blob):
-    """blob with every f8 record turned back into decimal lists and the v1
-    tag: the layout checkpoints had before arrays were stored as bytes."""
-    def lists(value):
-        if isinstance(value, dict) and set(value) == {"f8", "shape"}:
-            return decode(value, "record").tolist()
-        if isinstance(value, dict):
-            return {key: lists(item) for key, item in value.items()}
-        return value
-    return {**lists(blob), "format": "ncgru-checkpoint-v1"}
-
-
-def assert_same_state(a, b):
-    for (name, x), (_, y) in zip(a.model.params.named_arrays(), b.model.params.named_arrays()):
-        assert np.array_equal(x, y), name
-    for name, skew in a.model.skews.items():
-        other = b.model.skews[name]
-        for field in ("a", "d", "a_tilde", "u"):
-            assert np.array_equal(getattr(skew, field), getattr(other, field)), (name, field)
-        assert (skew.step, skew.steps_since_reset) == (other.step, other.steps_since_reset)
-    assert np.array_equal(a.model.readout_w, b.model.readout_w)
-    assert np.array_equal(a.model.readout_b, b.model.readout_b)
-    for opt, other in ((a.optimizer, b.optimizer), (a.optimizer_a, b.optimizer_a)):
-        assert set(opt._m) == set(other._m) and set(opt._v) == set(other._v)
-        assert all(np.array_equal(m, other._m[k]) for k, m in opt._m.items())
-        assert all(np.array_equal(v, other._v[k]) for k, v in opt._v.items())
-        assert opt._t == other._t
-    assert (a.config, a.step) == (b.config, b.step)
-
-
 def three_ortho_checkpoint(tmp_path, hidden=8):
     blob = make_cfg(**{"model.ortho_set": ["U_r", "U_u", "U_c"], "model.hidden": hidden})
     run_training(ExperimentConfig.from_dict(blob), out_dir=str(tmp_path / "out"))
     return tmp_path / "out" / "checkpoint.json"
 
 
-def test_checkpoint_old_and_new_layout_load_alike(tmp_path):
-    # A checkpoint stores each orthogonal weight once, as its skew state; a
-    # v1 file that also lists the weight under "params" (the layout before
-    # that) must load to the same state.
-    new_path = three_ortho_checkpoint(tmp_path)
-    saved = json.loads(new_path.read_text())
-    assert saved["format"] == "ncgru-checkpoint-v2"
-    assert set(saved["params"]).isdisjoint(["u_r", "u_u", "u_c"])
-    new = load_checkpoint(new_path)
-    old_blob = as_v1(saved)
-    old_blob["params"] = {name: arr.tolist() for name, arr in new.model.params.named_arrays()}
-    old_path = tmp_path / "old.json"
-    old_path.write_text(json.dumps(old_blob, indent=1) + "\n")
-    assert_same_state(new, load_checkpoint(old_path))
-
-
-def test_v1_checkpoint_loads_to_same_arrays(tmp_path):
-    # both optimizers are Adam with buffers, so every section is compared
-    path = three_ortho_checkpoint(tmp_path)
-    v1_path = tmp_path / "v1.json"
-    v1_path.write_text(json.dumps(as_v1(json.loads(path.read_text())), indent=1) + "\n")
-    v2, v1 = load_checkpoint(path), load_checkpoint(v1_path)
-    assert v2.optimizer_a._m and v2.optimizer._m
-    assert_same_state(v2, v1)
-
-
-@pytest.mark.parametrize("layout", ["v2", "v1"])
-def test_checkpoint_keeps_special_values_bit_for_bit(tmp_path, layout):
+def test_checkpoint_keeps_special_values_bit_for_bit(tmp_path):
     path = three_ortho_checkpoint(tmp_path)
     ck = load_checkpoint(path)
     special = np.array([-0.0, 5e-324, 1e308, -1e308])
     ck.model.readout_w[0, :4] = special
     save_checkpoint(path, ck.config, ck.model, ck.optimizer, ck.optimizer_a, step=ck.step)
-    if layout == "v1":
-        path.write_text(json.dumps(as_v1(json.loads(path.read_text()))))
     back = load_checkpoint(path).model.readout_w
     assert back[0, :4].view(np.uint64).tolist() == special.view(np.uint64).tolist()
     assert np.array_equal(back.view(np.uint64), ck.model.readout_w.view(np.uint64))
@@ -473,6 +441,8 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
     # base64 is 4/3 of the raw float64 bytes; decimal lists take ~3x
     path = three_ortho_checkpoint(tmp_path, hidden=64)
     ck = load_checkpoint(path)
+    # an orthogonal weight is stored once, as its skew state
+    assert set(json.loads(path.read_text())["params"]).isdisjoint(["u_r", "u_u", "u_c"])
     stored = [arr for name, arr in ck.model.params.named_arrays() if name not in ck.model.skews]
     stored += [arr for skew in ck.model.skews.values() for arr in (skew.a, skew.d, skew.a_tilde)]
     stored += [ck.model.readout_w, ck.model.readout_b]
@@ -481,6 +451,17 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
     entries = sum(arr.size for arr in stored)
     assert entries > 12 * 64 * 64
     assert path.stat().st_size <= 1.4 * 8 * entries + 64 * 1024
+
+
+def test_v1_checkpoint_is_rejected(tmp_path):
+    # v1 files held every array as nested decimal lists
+    path = three_ortho_checkpoint(tmp_path)
+    blob = json.loads(path.read_text())
+    assert blob["format"] == "ncgru-checkpoint-v2"
+    blob["format"] = "ncgru-checkpoint-v1"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
 
 
 def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
@@ -503,11 +484,12 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     lambda b: b["readout"].update(b=np.zeros((1, 5))),         # (1, 5), not (1,)
     lambda b: b["params"].update(bogus=np.ones(1)),            # no such parameter
     lambda b: b["params"].update(b_c=np.zeros(8)),             # a GRU bias on NC-GRU
+    lambda b: b["params"].update(u_r=np.eye(8)),               # stored as its skew state
     lambda b: b["skews"].pop("u_r"),                         # ortho_set names u_r
     lambda b: b["skews"].update(u_u=b["skews"]["u_r"]),      # and not u_u
     lambda b: b["skews"].update(u_c=SkewOrthogonal.create(4, seed=0).to_dict()),  # hidden is 8
 ], ids=["param_shape", "readout_w_shape", "readout_b_shape", "unknown_param",
-        "other_variant_param", "missing_skew", "extra_skew", "skew_size"])
+        "other_variant_param", "ortho_param", "missing_skew", "extra_skew", "skew_size"])
 def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))

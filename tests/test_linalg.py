@@ -209,3 +209,9 @@ def test_exact_inverse_nan_raises():
     m[1, 1] = np.nan
     with pytest.raises(NumericError):
         exact_inverse(m)
+
+
+def test_suite_turns_linalg_warning_into_an_error():
+    # pyproject.toml names only RuntimeWarning; LinAlgWarning subclasses it
+    with pytest.raises(scipy.linalg.LinAlgWarning):
+        warnings.warn("ill-conditioned", scipy.linalg.LinAlgWarning)

@@ -200,15 +200,15 @@ def _stepped_blob(kind):
     ("adam", lambda b: b.update(t={})),                      # t lost for a buffered name
     ("adam", lambda b: b["m"].pop("w")),                     # v without m
     ("adam", lambda b: b["t"].update(x=2)),                  # t for an unbuffered name
-    ("adam", lambda b: b["m"].update(w=[0.1, 0.2, 0.3])),    # m and v shapes differ
-    ("adam", lambda b: b["m"].update(w=[float("nan"), 0.0])),
-    ("adam", lambda b: b["v"].update(w=[float("inf"), 1.0])),
-    ("adam", lambda b: b["v"].update(w=[-1.0, 5.0])),
+    ("adam", lambda b: b["m"].update(w=encode(np.array([0.1, 0.2, 0.3])))),  # m and v shapes differ
+    ("adam", lambda b: b["m"].update(w=encode(np.array([np.nan, 0.0])))),
+    ("adam", lambda b: b["v"].update(w=encode(np.array([np.inf, 1.0])))),
+    ("adam", lambda b: b["v"].update(w=encode(np.array([-1.0, 5.0])))),
     ("adam", lambda b: b["t"].update(w=0)),
-    ("rmsprop", lambda b: b["m"].update(w=[0.0, 0.0])),      # rmsprop keeps no m
-    ("rmsprop", lambda b: b["t"].update(w=3)),               # nor t
-    ("rmsprop", lambda b: b["v"].update(w=[-1e-3, 1.0])),
-    ("sgd", lambda b: b["v"].update(w=[1.0, 1.0])),          # sgd keeps no buffer
+    ("rmsprop", lambda b: b["m"].update(w=encode(np.zeros(2)))),  # rmsprop keeps no m
+    ("rmsprop", lambda b: b["t"].update(w=3)),                    # nor t
+    ("rmsprop", lambda b: b["v"].update(w=encode(np.array([-1e-3, 1.0])))),
+    ("sgd", lambda b: b["v"].update(w=encode(np.ones(2)))),       # sgd keeps no buffer
 ], ids=["adam_no_t", "adam_no_m", "adam_extra_t", "adam_m_v_shapes", "adam_nan_m",
         "adam_inf_v", "adam_negative_v", "adam_t_zero", "rmsprop_m", "rmsprop_t",
         "rmsprop_negative_v", "sgd_v"])
@@ -234,7 +234,7 @@ def test_from_dict_accepts_fresh_and_stepped_state():
     lambda b: b.update(t=[3]),                                 # t must map names
     lambda b: b["v"].update(w="x"),
     lambda b: b["m"].update(w=[0.5, "x"]),
-    lambda b: b["m"].update(w=[0.5, "0.5"]),                  # a v1 list with a string
+    lambda b: b["m"].update(w=[0.5, "0.5"]),                  # a list with a numeric string
     lambda b: b["v"].update(w=[None, 1.0]),                    # or a null
     lambda b: b["t"].update(w="x"),
     lambda b: b.update(beta1="x"),

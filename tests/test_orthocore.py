@@ -276,18 +276,17 @@ def test_unsampled_step_skips_the_exact_norm():
         assert 0.0 < diag.contraction_norm < 1.0
 
 
-def test_certificate_at_one_falls_back_to_exact_norm(caplog):
+def test_certificate_at_one_falls_back_to_exact_norm():
     """||E||_F = 8 cannot certify, but ||E||_2 = 0.5 does: the step reports
-    the exact value and logs nothing."""
+    the exact value and applies the series."""
     n = 256
     sk = SkewOrthogonal(a=np.zeros((n, n)), d=np.ones(n), a_tilde=np.eye(n), reset_every=0)
     delta = np.kron(np.eye(n // 2), [[0.0, 0.5], [-0.5, 0.0]])
     assert np.linalg.norm(delta) == 8.0
-    with caplog.at_level("WARNING", logger="ncgru.orthocore"):
-        diag = sk.neumann_step(delta)
+    diag = sk.neumann_step(delta)
     assert abs(diag.contraction_norm - 0.5) < 1e-12
     assert diag.spectral_norm == diag.contraction_norm
-    assert not caplog.records
+    assert sk.steps_since_reset == 1
 
 
 @pytest.mark.parametrize("kind", ["neumann_step", "exact_step"])
@@ -374,14 +373,33 @@ def test_exact_step_has_no_truncation_error():
     assert np.max(np.abs(sk.a_tilde - true_inv)) < 1e-11
 
 
-def test_contraction_warning_logged(caplog):
-    sk = SkewOrthogonal.create(4, seed=19, reset_every=0)
+def test_uncertified_step_reinverts():
+    """A step whose ||E||_2 reaches 1 takes the exact inverse instead of
+    the diverging series, also with periodic resets disabled."""
+    n = 4
+    sk = SkewOrthogonal.create(n, seed=19, reset_every=0)
     # A huge delta drives ||Atil @ dA|| past 1.
-    delta = 50.0 * random_skew(4, seed=20)
-    with caplog.at_level("WARNING", logger="ncgru.orthocore"):
-        diag = sk.neumann_step(delta)
+    diag = sk.neumann_step(50.0 * random_skew(n, seed=20))
     assert diag.contraction_norm >= 1.0
-    assert any("contraction" in rec.message.lower() for rec in caplog.records)
+    assert diag.spectral_norm == diag.contraction_norm
+    assert sk.steps_since_reset == 0
+    assert _bits(sk.a_tilde) == _bits(exact_inverse(np.eye(n) + sk.a))
+    assert diag.drift < 1e-10 * n
+
+
+@pytest.mark.parametrize("sample", [False, True])
+def test_neumann_step_resetting_every_step_is_exact_step(sample):
+    """With reset_every=1 every Neumann step re-inverts, bit for bit as
+    the exact arm."""
+    n = 12
+    neumann = SkewOrthogonal.create(n, seed=26, reset_every=1)
+    exact = SkewOrthogonal.create(n, seed=26, reset_every=1)
+    for k in range(5):
+        delta = 1e-2 * random_skew(n, seed=27 + k)
+        got, want = neumann.neumann_step(delta, sample), exact.exact_step(delta, sample)
+        assert got == want
+        for field in ("a", "a_tilde", "u"):
+            assert _bits(getattr(neumann, field)) == _bits(getattr(exact, field)), field
 
 
 def test_serialization_round_trip_bitwise():
@@ -407,12 +425,12 @@ def test_serialization_round_trip_bitwise():
 @pytest.mark.parametrize("edit", [
     {"neumann_order": 7},
     {"reset_every": -3},
-    {"d": [5.0, 1.0, 1.0, 1.0]},
-    {"d": [1.0, -1.0, 1.0]},
-    {"d": [1.0, -1.0, np.nan, 1.0]},
-    {"a": [[0.0, np.nan, 0.0, 0.0]] * 4},
-    {"a_tilde": np.eye(3).tolist()},
-    {"a_tilde": np.full((4, 4), np.inf).tolist()},
+    {"d": np.array([5.0, 1.0, 1.0, 1.0])},
+    {"d": np.array([1.0, -1.0, 1.0])},
+    {"d": np.array([1.0, -1.0, np.nan, 1.0])},
+    {"a": np.array([[0.0, np.nan, 0.0, 0.0]] * 4)},
+    {"a_tilde": np.eye(3)},
+    {"a_tilde": np.full((4, 4), np.inf)},
     {"steps_since_reset": -100},
     {"step": -1},
 ])
