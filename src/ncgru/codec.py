@@ -4,10 +4,11 @@ encode turns an array into the record {"f8": base64 of its little-endian
 float64 bytes, "shape": [...]}. It is meant as json.dump's default hook,
 so the to_dict snapshots hold plain arrays and each record is built only
 while json.dump writes it. decode reads such a record back to the same
-bits. decode_int reads a counter, which must be a JSON integer.
+bits, checked against the shape of the array it restores. decode_int
+reads a counter, which must be a JSON integer.
 
 reading() turns the KeyError, TypeError or ValueError that a malformed
-blob raises inside a from_dict into ContractError.
+blob raises inside a restore into ContractError.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ def encode(obj) -> dict:
     return {"f8": base64.b64encode(arr).decode("ascii"), "shape": list(arr.shape)}
 
 
-def decode(value, what: str) -> np.ndarray:
-    """A fresh writable float64 array from an f8 record, or a copy of a
-    numeric array (a to_dict snapshot). Raises ContractError for anything
-    else, a nested list included, naming what."""
-    if isinstance(value, np.ndarray):
-        # a string, boolean or object array would otherwise convert or fail late
-        if value.dtype.kind not in "iuf":
-            raise ContractError(f"{what} must hold only numbers, got {value.dtype} entries")
-        return value.astype(np.float64)
+def decode(value, what: str, like: np.ndarray | None) -> np.ndarray:
+    """A fresh writable float64 array from an f8 record of like's shape,
+    like being the array it restores (None: the run has no such array).
+    Raises ContractError, naming what, for anything else: an unknown
+    array, another shape, a nested list, a malformed record."""
+    if like is None:
+        raise ContractError(f"checkpoint has an unknown array {what}")
     if not isinstance(value, dict) or set(value) != {"f8", "shape"}:
         got = sorted(value) if isinstance(value, dict) else type(value).__name__
         raise ContractError(f"{what} must be a record with keys f8 and shape, got {got}")
@@ -46,6 +45,9 @@ def decode(value, what: str) -> np.ndarray:
     if not (isinstance(shape, list) and all(
             isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in shape)):
         raise ContractError(f"{what} shape must be a list of integers >= 0, got {shape!r}")
+    if tuple(shape) != like.shape:
+        raise ContractError(f"checkpoint array {what} has shape {tuple(shape)}, "
+                            f"the run's is {like.shape}")
     try:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError) as err:

@@ -16,8 +16,9 @@ class SingularMatrixError(NcgruError, ArithmeticError):
 class ConvergenceError(NcgruError, RuntimeError):
     """An iterative routine hit its iteration cap before meeting tolerance.
 
-    Nothing in ncgru raises it any more (spectral norms are exact); it stays
-    exported for code that catches it. Carries the last estimate.
+    Nothing in ncgru raises it (spectral norms are exact). It stays because
+    trainbench/probes.py's _count_fallbacks counts it; the benchmark revision
+    of ROADMAP Direction 3 deletes both. Carries the last estimate.
     """
 
     def __init__(self, message: str, estimate: float):

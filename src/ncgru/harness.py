@@ -63,6 +63,8 @@ this does not guard against a power loss.
 A checkpoint is one JSON document tagged ncgru-checkpoint-v2 in which
 every float64 array is an ncgru.codec record, base64 of its
 little-endian bytes plus its shape, so a load gives back the same bits.
+It holds the config, the only copy of the run's settings, and the state
+training changes; a load builds the run from the config and restores it.
 """
 
 from __future__ import annotations
@@ -423,6 +425,17 @@ def build_model(cfg: ExperimentConfig) -> Model:
     return Model(params=params, skews=skews, readout_w=readout_w, readout_b=readout_b)
 
 
+def _build_optimizers(cfg: ExperimentConfig) -> tuple[Optimizer, Optimizer | None]:
+    """The optimizer of the readout and the ordinary weights, and the one
+    of the skew parameters (lr_A, else lr), which exists exactly when
+    ortho_set is non-empty."""
+    sec = cfg.optimizer
+    opt_a = None
+    if cfg.model.ortho_set:
+        opt_a = Optimizer(sec.kind, sec.lr if sec.lr_a is None else sec.lr_a)
+    return Optimizer(sec.kind, sec.lr), opt_a
+
+
 def make_loss(model: Model, batch: TaskBatch):
     if batch.loss_kind == "mse":
         return LinearReadoutMse(model.readout_w, model.readout_b, batch.targets)
@@ -483,11 +496,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
     model = build_model(cfg)
     params = model.params
     ortho = cfg.model.ortho_set
-    opt = Optimizer(cfg.optimizer.kind, cfg.optimizer.lr)
-    opt_a = None
-    if ortho:
-        opt_a = Optimizer(cfg.optimizer.kind,
-                          cfg.optimizer.lr if cfg.optimizer.lr_a is None else cfg.optimizer.lr_a)
+    opt, opt_a = _build_optimizers(cfg)
 
     tsec = cfg.task
     eval_bs = cfg.train.eval_batch_size or cfg.train.batch_size
@@ -637,10 +646,10 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 def save_checkpoint(path, cfg: ExperimentConfig, model: Model,
                     opt: Optimizer, opt_a: Optimizer | None, step: int) -> None:
-    """JSON snapshot of everything a run mutates, tagged
-    ncgru-checkpoint-v2. json.dump streams it and encodes each float64
-    array as a codec record only when it reaches that array, so the
-    bytes are stored exactly and load -> save reproduces the file byte
+    """JSON snapshot of the config and of everything training changes,
+    tagged ncgru-checkpoint-v2. json.dump streams it and encodes each
+    float64 array as a codec record only when it reaches that array, so
+    the bytes are stored exactly and load -> save reproduces the file byte
     for byte. An orthogonal weight is stored once, as its skew state;
     load_checkpoint rebuilds it from there bit for bit."""
     blob = {
@@ -666,48 +675,48 @@ class Checkpoint:
     step: int
 
 
-def _stored_array(value, like: np.ndarray | None, what: str) -> np.ndarray:
-    """A checkpoint array (a codec record, decoded; an array already
-    rebuilt, as is) checked against like, the array build_model makes in
-    its place (None: the model has no such array)."""
-    if like is None:
-        raise ContractError(f"checkpoint has an unknown array {what}")
-    arr = value if isinstance(value, np.ndarray) else decode(value, what)
-    if arr.shape != like.shape:
-        raise ContractError(f"checkpoint array {what} has shape {arr.shape}, "
-                            f"its config gives {like.shape}")
-    return arr
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a run's state from save_checkpoint's file.
+    """Rebuild a run from save_checkpoint's file: the model and optimizers
+    from the stored config, the only copy of the settings, then the state
+    training changed, checked like fresh state; other keys are not read.
     Raises ContractError when the file is not such a checkpoint, misses a
-    section or holds a malformed entry, or when an array's name or shape
-    does not fit the model build_model makes from the stored config."""
+    section, holds a malformed entry or a negative step, or when an array's
+    or optimizer buffer's name or shape does not fit the run."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
         if blob.get("format") != _FORMAT:
             raise ContractError(f"not an ncgru checkpoint: {path}")
         cfg = ExperimentConfig.from_dict(blob["config"])
+        step = decode_int(blob["step"], "step")
+        if step < 0:
+            raise ContractError(f"checkpoint step must be >= 0, got {step}")
         model = build_model(cfg)
         built = dict(model.params.named_arrays())
-        for name, arr in blob["params"].items():
+        for name, value in blob["params"].items():
             # an orthogonal weight is stored only as its skew state
             like = None if name in model.skews else built.get(name)
-            setattr(model.params, name, _stored_array(arr, like, f"params.{name}"))
-        if set(blob["skews"]) != set(cfg.model.ortho_set):
+            setattr(model.params, name, decode(value, f"params.{name}", like))
+        if set(blob["skews"]) != set(model.skews):
             raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
                                 f"the config's ortho_set {list(cfg.model.ortho_set)}")
-        model.skews = {name: SkewOrthogonal.from_dict(sub) for name, sub in blob["skews"].items()}
         for name, skew in model.skews.items():
-            setattr(model.params, name, _stored_array(skew.u, built[name], f"skews.{name}"))
-        model.readout_w = _stored_array(blob["readout"]["w"], model.readout_w, "readout.w")
-        model.readout_b = _stored_array(blob["readout"]["b"], model.readout_b, "readout.b")
-        opt = Optimizer.from_dict(blob["optimizer"])
-        opt_a = Optimizer.from_dict(blob["optimizer_A"]) if blob["optimizer_A"] else None
-        return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a,
-                          step=decode_int(blob["step"], "step"))
+            model.skews[name] = skew = skew.restore(blob["skews"][name], step)
+            setattr(model.params, name, skew.u)
+        model.readout_w = decode(blob["readout"]["w"], "readout.w", model.readout_w)
+        model.readout_b = decode(blob["readout"]["b"], "readout.b", model.readout_b)
+        opt, opt_a = _build_optimizers(cfg)
+        if (blob["optimizer_A"] is None) != (opt_a is None):
+            raise ContractError(f"checkpoint optimizer_A must be null exactly when the "
+                                f"config's ortho_set {list(cfg.model.ortho_set)} is empty")
+        trained = {"readout_w": model.readout_w, "readout_b": model.readout_b,
+                   **{name: arr for name, arr in model.params.named_arrays()
+                      if name not in model.skews}}
+        opt = opt.restore(blob["optimizer"], trained)
+        if opt_a is not None:
+            opt_a = opt_a.restore(blob["optimizer_A"],
+                                  {"A_" + name: skew.a for name, skew in model.skews.items()})
+        return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a, step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ step() returns the update the caller subtracts, in a fresh array the
 caller may modify; the optimizer itself never touches parameter memory.
 Buffers are keyed by parameter name, created lazily, updated in place,
 and serialize to JSON for checkpoints through ncgru.codec; construction,
-from_dict included, rejects buffers that do not fit the kind.
+restore included, rejects buffers that do not fit the kind.
+
+The constants are fixed: Adam's beta1 0.9 and beta2 0.999, RMSProp's
+decay 0.9, and epsilon 1e-8 for both. Only the kind and the learning rate
+are settings, and a checkpoint takes them from its config.
 
 All three updates act entrywise with symmetric functions of the gradient
 history, and epsilon is added inside the denominator, so a skew-symmetric
@@ -15,7 +19,7 @@ parameters of an orthogonal weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .codec import decode, decode_int, reading
 from .errors import ContractError, NumericError, ShapeError
 
 _KINDS = ("sgd", "rmsprop", "adam")
+_BETA1, _BETA2, _DECAY, _EPS = 0.9, 0.999, 0.9, 1e-8
 
 
 def _ema(bufs: dict, name: str, rate: float, grad: np.ndarray, tmp: np.ndarray,
@@ -45,10 +50,6 @@ def _ema(bufs: dict, name: str, rate: float, grad: np.ndarray, tmp: np.ndarray,
 class Optimizer:
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    decay: float = 0.9
-    eps: float = 1e-8
     _m: dict = field(default_factory=dict)
     _v: dict = field(default_factory=dict)
     _t: dict = field(default_factory=dict)
@@ -104,46 +105,38 @@ class Optimizer:
         # so every result equals theirs bit for bit.
         tmp = np.empty_like(grad)
         if self.kind == "rmsprop":
-            v = _ema(self._v, name, self.decay, grad, tmp, square=True)
+            v = _ema(self._v, name, _DECAY, grad, tmp, square=True)
             np.sqrt(v, out=tmp)
             upd = np.multiply(self.lr, grad)
         else:
             t = self._t[name] = self._t.get(name, 0) + 1
-            m = _ema(self._m, name, self.beta1, grad, tmp, square=False)
-            v = _ema(self._v, name, self.beta2, grad, tmp, square=True)
-            np.divide(v, 1.0 - self.beta2 ** t, out=tmp)
+            m = _ema(self._m, name, _BETA1, grad, tmp, square=False)
+            v = _ema(self._v, name, _BETA2, grad, tmp, square=True)
+            np.divide(v, 1.0 - _BETA2 ** t, out=tmp)
             np.sqrt(tmp, out=tmp)
-            upd = np.divide(m, 1.0 - self.beta1 ** t)
+            upd = np.divide(m, 1.0 - _BETA1 ** t)
             upd *= self.lr
-        tmp += self.eps
+        tmp += _EPS
         upd /= tmp
         return upd
 
     def to_dict(self) -> dict:
-        """Snapshot for json.dump(..., default=codec.encode). The m and v
-        arrays are the live buffers, which the next step updates in place,
-        so serialize the snapshot before stepping again."""
-        return {
-            "kind": self.kind,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "decay": self.decay,
-            "eps": self.eps,
-            "m": dict(self._m),
-            "v": dict(self._v),
-            "t": dict(self._t),
-        }
+        """The state training changes, for json.dump(..., default=
+        codec.encode). The m and v arrays are the live buffers, which the
+        next step updates in place, so serialize the snapshot before
+        stepping again."""
+        return {"m": dict(self._m), "v": dict(self._v), "t": dict(self._t)}
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "Optimizer":
-        """Load to_dict's snapshot, or its JSON form; corrupt state raises
-        ShapeError, a missing key or a malformed entry (a step count that
-        is not a JSON integer included) ContractError."""
+    def restore(self, blob: dict, trained: dict) -> "Optimizer":
+        """A copy of this optimizer, kind and lr kept, with the buffers of
+        to_dict's JSON form. trained maps each name the run steps to the
+        array it trains. A buffer under another name or of another shape,
+        a missing key or a malformed entry (a step count that is not a
+        JSON integer included) raises ContractError; buffers that do not
+        fit the kind raise ShapeError."""
         with reading("optimizer state"):
-            return cls(kind=blob["kind"], lr=float(blob["lr"]), beta1=float(blob["beta1"]),
-                       beta2=float(blob["beta2"]), decay=float(blob["decay"]),
-                       eps=float(blob["eps"]),
-                       _m={k: decode(v, f"m[{k!r}]") for k, v in blob["m"].items()},
-                       _v={k: decode(v, f"v[{k!r}]") for k, v in blob["v"].items()},
-                       _t={k: decode_int(v, f"t[{k!r}]") for k, v in blob["t"].items()})
+            return replace(
+                self,
+                _m={k: decode(v, f"m[{k!r}]", trained.get(k)) for k, v in blob["m"].items()},
+                _v={k: decode(v, f"v[{k!r}]", trained.get(k)) for k, v in blob["v"].items()},
+                _t={k: decode_int(v, f"t[{k!r}]") for k, v in blob["t"].items()})

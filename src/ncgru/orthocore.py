@@ -50,7 +50,7 @@ maps skew to skew keeps the parameterization closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -311,29 +311,22 @@ class SkewOrthogonal:
         return self._step(delta_a, sample, invert=True)
 
     def to_dict(self) -> dict:
-        """Snapshot for json.dump(..., default=codec.encode), which stores
-        each array as its float64 bytes. u is left out: from_dict rederives
-        it from a_tilde, a and d, bit for bit."""
-        return {
-            "a": self.a,
-            "d": self.d,
-            "a_tilde": self.a_tilde,
-            "neumann_order": self.neumann_order,
-            "reset_every": self.reset_every,
-            "steps_since_reset": self.steps_since_reset,
-            "step": self.step,
-        }
+        """The state training changes, for json.dump(..., default=
+        codec.encode). d, neumann_order, reset_every and step are the run's
+        settings and step; restore rederives u from a_tilde, a and d, bit
+        for bit."""
+        return {"a": self.a, "a_tilde": self.a_tilde,
+                "steps_since_reset": self.steps_since_reset}
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "SkewOrthogonal":
-        """Load to_dict's snapshot, or its JSON form; state that breaks the
-        construction rules raises ShapeError, a missing key or a malformed
-        entry (a counter that is not a JSON integer included) ContractError."""
+    def restore(self, blob: dict, step: int) -> "SkewOrthogonal":
+        """A copy of this state, d and the settings kept, with the arrays
+        and counter of to_dict's JSON form and the given step. An array of
+        another shape than this state's, a missing key or a malformed entry
+        (a counter that is not a JSON integer included) raises
+        ContractError; state that breaks the construction rules ShapeError."""
         with reading("skew state"):
-            return cls(
-                a=decode(blob["a"], "a"),
-                d=decode(blob["d"], "d"),
-                a_tilde=decode(blob["a_tilde"], "a_tilde"),
-                **{key: decode_int(blob[key], key) for key in
-                   ("neumann_order", "reset_every", "steps_since_reset", "step")},
-            )
+            return replace(self, a=decode(blob["a"], "a", self.a),
+                           a_tilde=decode(blob["a_tilde"], "a_tilde", self.a_tilde),
+                           steps_since_reset=decode_int(blob["steps_since_reset"],
+                                                        "steps_since_reset"),
+                           step=step)

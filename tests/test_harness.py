@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncgru import orthocore
+from ncgru import harness, orthocore
 from ncgru.cli import main
 from ncgru.codec import encode
-from ncgru.errors import ConfigError, ContractError
+from ncgru.errors import ConfigError, ContractError, ShapeError
 from ncgru.harness import (
     ExperimentConfig,
     LinearReadoutMse,
@@ -406,18 +406,92 @@ def test_cli_singular_inverse_is_a_numeric_abort(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("edits", [
+    {"model.variant": "GRU"},
+    {},
+    {"model.exact_inverse_mode": True},
+], ids=["gru", "ncgru", "exact"])
+def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch, edits):
+    saved = {}
+
+    def keep_model(path, cfg, model, *args, **kwargs):
+        saved.update(model.params.named_arrays())
+        return save_checkpoint(path, cfg, model, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "save_checkpoint", keep_model)
+    cfg = ExperimentConfig.from_dict(make_cfg(**edits))
     run = run_training(cfg, out_dir=str(tmp_path / "out"))
     path = tmp_path / "out" / "checkpoint.json"
     ck = load_checkpoint(path)
     assert ck.step == 4
     assert ck.config == run.config
+    assert (ck.optimizer_a is None) == (cfg.model.variant == "gru")
+    # every weight, u_r, u_u and u_c included, is the run's bit for bit
+    assert {name: _bits(arr) for name, arr in ck.model.params.named_arrays()} == \
+        {name: _bits(arr) for name, arr in saved.items()}
     # Save the loaded state and compare bytes: the arrays' bytes are stored.
     again = tmp_path / "again.json"
     save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.optimizer_a,
                     step=ck.step)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _parent_layout(blob):
+    """blob with the copies of the settings that checkpoints held before
+    the config became their only copy, each set against BASE_CFG's."""
+    old = copy.deepcopy(blob)
+    for skew in old["skews"].values():
+        skew.update(d=encode(np.ones(8)), neumann_order=3, reset_every=7, step=99)
+    for key in ("optimizer", "optimizer_A"):
+        old[key].update(kind="sgd", lr=5.0, beta1=0.5, beta2=0.5, decay=0.5, eps=1.0)
+    return old
+
+
+def test_checkpoint_in_the_parent_layout_loads_to_the_config(tmp_path):
+    cfg = ExperimentConfig.from_dict(make_cfg(**{"model.reset_every": 3}))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    path = tmp_path / "out" / "checkpoint.json"
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(_parent_layout(json.loads(path.read_text()))))
+    new, old = load_checkpoint(path), load_checkpoint(old_path)
+    for ck in (new, old):
+        assert ck.step == 4
+        for skew in ck.model.skews.values():
+            assert (skew.neumann_order, skew.reset_every, skew.step) == (2, 3, 4)
+            assert skew.d.tolist() == [-1.0] * 4 + [1.0] * 4
+        for opt in (ck.optimizer, ck.optimizer_a):
+            assert (opt.kind, opt.lr) == ("adam", 1e-3)
+    assert {name: _bits(arr) for name, arr in old.model.params.named_arrays()} == \
+        {name: _bits(arr) for name, arr in new.model.params.named_arrays()}
+    # the stored arrays too: both save to the file the run wrote
+    save_checkpoint(old_path, old.config, old.model, old.optimizer, old.optimizer_a,
+                    step=old.step)
+    assert old_path.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_config_gives_every_setting(tmp_path):
+    cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    blob["config"]["model"].update(neumann_order=3, reset_every=7, num_neg=0)
+    blob["config"]["optimizer"] = {"kind": "sgd", "lr": 5.0}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ShapeError, match="sgd state"):  # Adam's buffers under sgd
+        load_checkpoint(path)
+    for key in ("optimizer", "optimizer_A"):
+        blob[key] = {"m": {}, "v": {}, "t": {}}
+    path.write_text(json.dumps(blob))
+    ck = load_checkpoint(path)
+    for skew in ck.model.skews.values():
+        assert (skew.neumann_order, skew.reset_every) == (3, 7)
+        assert np.all(skew.d == 1.0)
+    for opt in (ck.optimizer, ck.optimizer_a):
+        assert (opt.kind, opt.lr) == ("sgd", 5.0)
 
 
 def three_ortho_checkpoint(tmp_path, hidden=8):
@@ -444,7 +518,7 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
     # an orthogonal weight is stored once, as its skew state
     assert set(json.loads(path.read_text())["params"]).isdisjoint(["u_r", "u_u", "u_c"])
     stored = [arr for name, arr in ck.model.params.named_arrays() if name not in ck.model.skews]
-    stored += [arr for skew in ck.model.skews.values() for arr in (skew.a, skew.d, skew.a_tilde)]
+    stored += [arr for skew in ck.model.skews.values() for arr in (skew.a, skew.a_tilde)]
     stored += [ck.model.readout_w, ck.model.readout_b]
     for opt in (ck.optimizer, ck.optimizer_a):
         stored += [*opt._m.values(), *opt._v.values()]
@@ -488,8 +562,12 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     lambda b: b["skews"].pop("u_r"),                         # ortho_set names u_r
     lambda b: b["skews"].update(u_u=b["skews"]["u_r"]),      # and not u_u
     lambda b: b["skews"].update(u_c=SkewOrthogonal.create(4, seed=0).to_dict()),  # hidden is 8
+    lambda b: [b["optimizer"][key].update(w_r=np.zeros((3, 3))) for key in "mv"],  # w_r is 8x2
+    lambda b: [b["optimizer"][key].update(nonsense=value)                  # nothing trains it
+               for key, value in (("m", np.zeros(2)), ("v", np.zeros(2)), ("t", 2))],
 ], ids=["param_shape", "readout_w_shape", "readout_b_shape", "unknown_param",
-        "other_variant_param", "ortho_param", "missing_skew", "extra_skew", "skew_size"])
+        "other_variant_param", "ortho_param", "missing_skew", "extra_skew", "skew_size",
+        "optimizer_buffer_shape", "optimizer_unknown_buffer"])
 def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -514,9 +592,11 @@ def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     lambda b: b["readout"].update(w={"f8": "", "shape": [0], "dtype": "f4"}),
     lambda b: b.update(step=3.0),
     lambda b: b["skews"]["u_r"].update(steps_since_reset=1.5),
+    lambda b: b.update(optimizer_A=None),   # ortho_set is U_r, U_c
+    lambda b: b.update(step=-3),
 ], ids=["no_readout", "no_optimizer_A", "no_skews", "no_format", "skew_a_string",
         "bad_base64", "byte_length", "float_shape", "negative_shape", "extra_key",
-        "step_float", "skew_counter_float"])
+        "step_float", "skew_counter_float", "null_optimizer_A", "step_negative"])
 def test_load_checkpoint_rejects_malformed_file(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))

@@ -15,6 +15,12 @@ def as_json(opt):
     return json.loads(json.dumps(opt.to_dict(), default=encode))
 
 
+def restored(kind, blob, trained, lr=1e-3):
+    """A fresh optimizer of kind with blob's state; trained maps each name
+    to the array it trains."""
+    return Optimizer(kind, lr).restore(blob, trained)
+
+
 def skew(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
@@ -90,7 +96,7 @@ def test_updates_equal_out_of_place_formula(kind):
     for k, g in enumerate(grads):
         if k == 3:
             # a checkpoint round trip mid-run continues identically
-            back = Optimizer.from_dict(as_json(opt))
+            back = restored(kind, as_json(opt), {"w": g}, lr=3e-3)
             assert np.array_equal(back.step("w", g), want[k])
         upd = opt.step("w", g)
         assert np.array_equal(upd, want[k]), k
@@ -182,8 +188,8 @@ def test_serialization_round_trip():
     for _ in range(3):
         opt.step("w", rng.normal(size=(3, 3)))
         opt.step("b", rng.normal(size=3))
-    back = Optimizer.from_dict(as_json(opt))
     g = rng.normal(size=(3, 3))
+    back = restored("adam", as_json(opt), {"w": g, "b": g[0]})
     u1 = opt.step("w", g)
     u2 = back.step("w", g)
     assert np.array_equal(u1, u2)
@@ -196,11 +202,13 @@ def _stepped_blob(kind):
     return as_json(opt)
 
 
+TRAINED = {"w": np.zeros(2)}
+
+
 @pytest.mark.parametrize("kind,edit", [
     ("adam", lambda b: b.update(t={})),                      # t lost for a buffered name
     ("adam", lambda b: b["m"].pop("w")),                     # v without m
     ("adam", lambda b: b["t"].update(x=2)),                  # t for an unbuffered name
-    ("adam", lambda b: b["m"].update(w=encode(np.array([0.1, 0.2, 0.3])))),  # m and v shapes differ
     ("adam", lambda b: b["m"].update(w=encode(np.array([np.nan, 0.0])))),
     ("adam", lambda b: b["v"].update(w=encode(np.array([np.inf, 1.0])))),
     ("adam", lambda b: b["v"].update(w=encode(np.array([-1.0, 5.0])))),
@@ -209,27 +217,28 @@ def _stepped_blob(kind):
     ("rmsprop", lambda b: b["t"].update(w=3)),                    # nor t
     ("rmsprop", lambda b: b["v"].update(w=encode(np.array([-1e-3, 1.0])))),
     ("sgd", lambda b: b["v"].update(w=encode(np.ones(2)))),       # sgd keeps no buffer
-], ids=["adam_no_t", "adam_no_m", "adam_extra_t", "adam_m_v_shapes", "adam_nan_m",
+], ids=["adam_no_t", "adam_no_m", "adam_extra_t", "adam_nan_m",
         "adam_inf_v", "adam_negative_v", "adam_t_zero", "rmsprop_m", "rmsprop_t",
         "rmsprop_negative_v", "sgd_v"])
 def test_from_dict_rejects_corrupt_state(kind, edit):
     blob = _stepped_blob(kind)
-    Optimizer.from_dict(blob)  # the unedited state loads
+    restored(kind, blob, TRAINED)  # the unedited state loads
     edit(blob)
     with pytest.raises(ShapeError):
-        Optimizer.from_dict(blob)
+        restored(kind, blob, TRAINED)
 
 
 def test_from_dict_accepts_fresh_and_stepped_state():
     for kind in ("sgd", "rmsprop", "adam"):
         fresh = Optimizer(kind, lr=1e-3).to_dict()
-        assert Optimizer.from_dict(fresh).to_dict() == fresh
+        assert restored(kind, fresh, TRAINED).to_dict() == fresh
         stepped = _stepped_blob(kind)
-        assert as_json(Optimizer.from_dict(stepped)) == stepped
+        back = restored(kind, stepped, TRAINED, lr=0.5)
+        assert (back.kind, back.lr) == (kind, 0.5)
+        assert as_json(back) == stepped
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b.pop("kind"),
     lambda b: b.pop("m"),
     lambda b: b.update(t=[3]),                                 # t must map names
     lambda b: b["v"].update(w="x"),
@@ -237,7 +246,8 @@ def test_from_dict_accepts_fresh_and_stepped_state():
     lambda b: b["m"].update(w=[0.5, "0.5"]),                  # a list with a numeric string
     lambda b: b["v"].update(w=[None, 1.0]),                    # or a null
     lambda b: b["t"].update(w="x"),
-    lambda b: b.update(beta1="x"),
+    lambda b: b["m"].update(w=encode(np.array([0.1, 0.2, 0.3]))),  # w has 2 entries
+    lambda b: b["m"].update(x=encode(np.zeros(2))),                # nothing trains x
     lambda b: b["v"]["w"].update(f8="not base64!"),
     lambda b: b["v"]["w"].update(f8=encode(np.ones(3))["f8"]),  # 24 bytes for shape [2]
     lambda b: b["v"]["w"].update(shape=[2.0]),
@@ -246,13 +256,13 @@ def test_from_dict_accepts_fresh_and_stepped_state():
     lambda b: b["t"].update(w=1.5),
     lambda b: b["t"].update(w=True),
     lambda b: b["t"].update(w="2"),
-], ids=["no_kind", "no_m", "t_list", "v_string", "m_entry_string",
+], ids=["no_m", "t_list", "v_string", "m_entry_string",
         "m_numeric_string", "v_null", "t_string",
-        "beta1_string", "bad_base64", "byte_length", "float_shape", "negative_shape", "no_shape",
+        "m_shape", "unknown_name", "bad_base64", "byte_length", "float_shape", "negative_shape", "no_shape",
         "t_float", "t_bool", "t_numeric_string"])
 def test_from_dict_rejects_malformed_blob(edit):
     blob = _stepped_blob("adam")
-    Optimizer.from_dict(blob)
+    restored("adam", blob, TRAINED)
     edit(blob)
     with pytest.raises(ContractError):
-        Optimizer.from_dict(blob)
+        restored("adam", blob, TRAINED)

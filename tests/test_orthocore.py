@@ -411,7 +411,10 @@ def test_serialization_round_trip_bitwise():
     blob = sk.to_dict()
     # The dict must survive JSON text round-tripping without precision loss.
     blob = json.loads(json.dumps(blob, default=encode))
-    back = SkewOrthogonal.from_dict(blob)
+    # d and the settings come from the state restored onto, as a checkpoint
+    # takes them from its config; a, a_tilde and the counters from blob
+    built = SkewOrthogonal.create(9, seed=0, num_neg=4, neumann_order=3, reset_every=7)
+    back = built.restore(blob, step=sk.step)
     assert np.array_equal(back.a, sk.a)
     assert np.array_equal(back.d, sk.d)
     assert np.array_equal(back.a_tilde, sk.a_tilde)
@@ -422,49 +425,45 @@ def test_serialization_round_trip_bitwise():
     assert back.step == sk.step
 
 
+def _skew_blob():
+    return json.loads(json.dumps(SkewOrthogonal.create(4, seed=25).to_dict(), default=encode))
+
+
+# the ids are those of the earlier, longer case list, so that results
+# stay comparable across versions of the suite
 @pytest.mark.parametrize("edit", [
-    {"neumann_order": 7},
-    {"reset_every": -3},
-    {"d": np.array([5.0, 1.0, 1.0, 1.0])},
-    {"d": np.array([1.0, -1.0, 1.0])},
-    {"d": np.array([1.0, -1.0, np.nan, 1.0])},
-    {"a": np.array([[0.0, np.nan, 0.0, 0.0]] * 4)},
-    {"a_tilde": np.eye(3)},
-    {"a_tilde": np.full((4, 4), np.inf)},
-    {"steps_since_reset": -100},
-    {"step": -1},
+    pytest.param({"a": encode(np.array([[0.0, np.nan, 0.0, 0.0]] * 4))}, id="edit5"),
+    pytest.param({"a_tilde": encode(np.full((4, 4), np.inf))}, id="edit7"),
+    pytest.param({"steps_since_reset": -100}, id="edit8"),
 ])
 def test_from_dict_rejects_corrupt_state(edit):
-    blob = SkewOrthogonal.create(4, seed=25).to_dict()
-    SkewOrthogonal.from_dict(blob)
+    built = SkewOrthogonal.create(4, seed=0)
+    blob = _skew_blob()
+    built.restore(blob, step=0)
     blob.update(edit)
     with pytest.raises(ShapeError):
-        SkewOrthogonal.from_dict(blob)
+        built.restore(blob, step=0)
 
 
 @pytest.mark.parametrize("edit", [
     lambda b: b.pop("a_tilde"),
-    lambda b: b.pop("step"),
     lambda b: b.update(a="x"),
-    lambda b: b.update(step="x"),
     lambda b: b["a"].update(f8="@@@@"),
     lambda b: b["a"].update(f8=encode(np.zeros(15))["f8"]),  # 120 bytes for shape [4, 4]
     lambda b: b["a"].update(shape=[4, "4"]),
     lambda b: b["a"].update(shape=[-4, -4]),
-    lambda b: b["d"].update(shape=[True] * 4),
+    lambda b: b["a"].update(shape=[True] * 2),
     lambda b: b.update(steps_since_reset=2.9),
-    lambda b: b.update(reset_every=True),
-    lambda b: b.update(neumann_order=2.0),
-    lambda b: b.update(step="2"),
-], ids=["no_a_tilde", "no_step", "a_string", "step_string", "bad_base64",
-        "byte_length", "string_shape", "negative_shape", "bool_shape",
-        "steps_since_reset_float", "reset_every_bool", "order_float", "step_numeric_string"])
+    lambda b: b.update(a_tilde=encode(np.eye(3))),             # the state is 4 x 4
+], ids=["no_a_tilde", "a_string", "bad_base64", "byte_length", "string_shape",
+        "negative_shape", "bool_shape", "steps_since_reset_float", "a_tilde_shape"])
 def test_from_dict_rejects_malformed_blob(edit):
-    blob = json.loads(json.dumps(SkewOrthogonal.create(4, seed=25).to_dict(), default=encode))
-    SkewOrthogonal.from_dict(blob)
+    built = SkewOrthogonal.create(4, seed=0)
+    blob = _skew_blob()
+    built.restore(blob, step=0)
     edit(blob)
     with pytest.raises(ContractError):
-        SkewOrthogonal.from_dict(blob)
+        built.restore(blob, step=0)
 
 
 def test_skew_invariant_through_training_noise():
@@ -514,7 +513,7 @@ def test_from_dict_rebuilds_u_after_an_exact_inverse():
     assert periodic.steps_since_reset == 0 < periodic.step
     for sk in (exact, periodic):
         blob = json.loads(json.dumps(sk.to_dict(), default=encode))
-        back = SkewOrthogonal.from_dict(blob)
+        back = SkewOrthogonal.create(n, seed=0, reset_every=sk.reset_every).restore(blob, sk.step)
         assert _bits(back.u) == _bits(sk.u)
         assert _bits(sk.u) == _bits((2.0 * sk.a_tilde - np.eye(n)) * sk.d)
 
