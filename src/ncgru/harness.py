@@ -7,10 +7,7 @@ errors: an int is never a bool or a float, a float must be finite):
 
     {
       "task":      {"name": "adding" | "copying" | "parenthesis" | "denoise",
-                    "T": int             (>= 2 adding, >= 11 denoise, else >= 1),
-                    "alphabet_n": int    (denoise only; >= 2, default 10),
-                    "n_pairs": int       (parenthesis only; 1..10, default 10),
-                    "final_only": bool   (parenthesis only; default false)},
+                    "T": int             (>= 2 adding, >= 11 denoise, else >= 1)},
       "model":     {"variant": "GRU" | "NC-GRU",
                     "hidden": int        (>= 2),
                     "ortho_set": ["U_r", "U_u", "U_c"] subset (NC-GRU only;
@@ -167,40 +164,15 @@ class _Section:
 class TaskSection(_Section):
     name: str
     T: int
-    alphabet_n: int = tasks.DENOISE_ALPHABET
-    n_pairs: int = tasks.PARENTHESIS_PAIRS
-    final_only: bool = False
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "TaskSection":
-        if "alphabet_n" in blob and blob.get("name") != "denoise":
-            raise ConfigError("task.alphabet_n only applies to the denoise task")
-        if ("n_pairs" in blob or "final_only" in blob) and blob.get("name") != "parenthesis":
-            raise ConfigError("task.n_pairs / task.final_only only apply to the parenthesis task")
-        return super().from_dict(blob)
 
     def __post_init__(self):
         self._check_types()
         if self.name not in tasks.TASK_NAMES:
             raise ConfigError(f"task.name must be one of {tasks.TASK_NAMES}, got {self.name!r}")
         try:   # the generators own the size rules
-            tasks._check_request(self.name, self.T, n_pairs=self.n_pairs,
-                                 alphabet_n=self.alphabet_n)
+            tasks._check_request(self.name, self.T)
         except ContractError as err:
             raise ConfigError(f"task: {err}") from err
-
-    def generator_kwargs(self) -> dict:
-        if self.name == "denoise":
-            return {"alphabet_n": self.alphabet_n}
-        if self.name == "parenthesis":
-            return {"n_pairs": self.n_pairs, "final_only": self.final_only}
-        return {}
-
-    def dims(self) -> tuple[int, int]:
-        return task_dims(self.name, alphabet_n=self.alphabet_n, n_pairs=self.n_pairs)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "T": self.T, **self.generator_kwargs()}
 
 
 _VARIANT_ALIASES = {"gru": "gru", "nc-gru": "ncgru", "ncgru": "ncgru"}
@@ -354,31 +326,27 @@ class LinearReadoutMse:
 
 class SoftmaxReadoutXent:
     """Per-step softmax cross-entropy of (n, B) states through a shared
-    linear readout, averaged over batch and scored steps (every step, or
-    the final one only when final_only). targets is (B, T) class indices;
-    any other shape is a ContractError."""
+    linear readout, scored at every step and averaged over batch and
+    steps. targets is (B, T) class indices; any other shape is a
+    ContractError."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray,
-                 final_only: bool = False):
+    def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray):
         self.w = w
         self.b = b
         self.targets = np.asarray(targets, dtype=np.int64)
-        self.final_only = final_only
 
     def loss_and_grads(self, hs):
         steps, batch = len(hs), hs[-1].shape[1]
         if self.targets.shape != (batch, steps):
             raise ContractError(f"targets shape {self.targets.shape} does not cover "
                                 f"{batch} examples x {steps} steps")
-        scored = [steps - 1] if self.final_only else range(steps)
-        denom = batch * len(scored)
+        denom = batch * steps
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
         cols = np.arange(batch)
         loss = 0.0
         grads: list = [None] * steps
-        for t in scored:
-            h = hs[t]
+        for t, h in enumerate(hs):
             logits = self.w @ h + self.b[:, None]
             logits -= np.max(logits, axis=0, keepdims=True)
             logz = np.log(np.sum(np.exp(logits), axis=0))
@@ -406,7 +374,7 @@ class Model:
 
 
 def build_model(cfg: ExperimentConfig) -> Model:
-    in_dim, out_dim = cfg.task.dims()
+    in_dim, out_dim = task_dims(cfg.task.name)
     m = cfg.model
     seed = cfg.train.seed
     params = CellParams.init(m.variant, m.hidden, in_dim, seed)
@@ -439,8 +407,7 @@ def _build_optimizers(cfg: ExperimentConfig) -> tuple[Optimizer, Optimizer | Non
 def make_loss(model: Model, batch: TaskBatch):
     if batch.loss_kind == "mse":
         return LinearReadoutMse(model.readout_w, model.readout_b, batch.targets)
-    return SoftmaxReadoutXent(model.readout_w, model.readout_b, batch.targets,
-                              final_only=batch.final_only)
+    return SoftmaxReadoutXent(model.readout_w, model.readout_b, batch.targets)
 
 
 def evaluate(model: Model, batch: TaskBatch) -> float:
@@ -476,7 +443,6 @@ class RunResult:
     final_eval: float | None
     max_drift: float
     max_contraction: float
-    out_dir: str | None = None
     metrics_path: str | None = None
     checkpoint_path: str | None = None
 
@@ -500,8 +466,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
 
     tsec = cfg.task
     eval_bs = cfg.train.eval_batch_size or cfg.train.batch_size
-    eval_batch = make_batch(tsec.name, tsec.T, eval_bs,
-                            cfg.train.seed + _EVAL_SEED, **tsec.generator_kwargs())
+    eval_batch = make_batch(tsec.name, tsec.T, eval_bs, cfg.train.seed + _EVAL_SEED)
 
     metrics: list[MetricRow] = []
     timings: list[str] = []
@@ -514,7 +479,7 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
     for k in range(1, cfg.train.iterations + 1):
         t0 = time.perf_counter()
         batch = make_batch(tsec.name, tsec.T, cfg.train.batch_size,
-                           cfg.train.seed + _BATCH_SEED_BASE + k, **tsec.generator_kwargs())
+                           cfg.train.seed + _BATCH_SEED_BASE + k)
         loss_obj = make_loss(model, batch)
         try:
             # Overflow in a diverging run shows up as a non-finite loss or
@@ -573,7 +538,6 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                     max_drift=max_drift, max_contraction=max_contraction)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        run.out_dir = out_dir
         run.metrics_path = os.path.join(out_dir, "metrics.csv")
         write_metrics_csv(metrics, run.metrics_path)
         _write_csv(os.path.join(out_dir, "timing.csv"), "step,wall_ms", timings)
@@ -680,8 +644,9 @@ def load_checkpoint(path) -> Checkpoint:
     from the stored config, the only copy of the settings, then the state
     training changed, checked like fresh state; other keys are not read.
     Raises ContractError when the file is not such a checkpoint, misses a
-    section, holds a malformed entry or a negative step, or when an array's
-    or optimizer buffer's name or shape does not fit the run."""
+    section, holds a malformed entry or a negative step, when its arrays or
+    optimizer buffers are not those of the run or have another shape, or
+    when a counter disagrees with the step."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -692,11 +657,14 @@ def load_checkpoint(path) -> Checkpoint:
         if step < 0:
             raise ContractError(f"checkpoint step must be >= 0, got {step}")
         model = build_model(cfg)
-        built = dict(model.params.named_arrays())
-        for name, value in blob["params"].items():
-            # an orthogonal weight is stored only as its skew state
-            like = None if name in model.skews else built.get(name)
-            setattr(model.params, name, decode(value, f"params.{name}", like))
+        # an orthogonal weight is stored only as its skew state
+        trained = {name: arr for name, arr in model.params.named_arrays()
+                   if name not in model.skews}
+        if set(blob["params"]) != set(trained):
+            raise ContractError(f"checkpoint params {sorted(blob['params'])} are not "
+                                f"the run's {sorted(trained)}")
+        for name, like in trained.items():
+            setattr(model.params, name, decode(blob["params"][name], f"params.{name}", like))
         if set(blob["skews"]) != set(model.skews):
             raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
                                 f"the config's ortho_set {list(cfg.model.ortho_set)}")
@@ -709,13 +677,11 @@ def load_checkpoint(path) -> Checkpoint:
         if (blob["optimizer_A"] is None) != (opt_a is None):
             raise ContractError(f"checkpoint optimizer_A must be null exactly when the "
                                 f"config's ortho_set {list(cfg.model.ortho_set)} is empty")
-        trained = {"readout_w": model.readout_w, "readout_b": model.readout_b,
-                   **{name: arr for name, arr in model.params.named_arrays()
-                      if name not in model.skews}}
-        opt = opt.restore(blob["optimizer"], trained)
+        trained.update(readout_w=model.readout_w, readout_b=model.readout_b)
+        opt = opt.restore(blob["optimizer"], trained, step)
         if opt_a is not None:
-            opt_a = opt_a.restore(blob["optimizer_A"],
-                                  {"A_" + name: skew.a for name, skew in model.skews.items()})
+            skew_a = {"A_" + name: skew.a for name, skew in model.skews.items()}
+            opt_a = opt_a.restore(blob["optimizer_A"], skew_a, step)
         return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a, step=step)
 
 

@@ -127,16 +127,22 @@ class Optimizer:
         stepping again."""
         return {"m": dict(self._m), "v": dict(self._v), "t": dict(self._t)}
 
-    def restore(self, blob: dict, trained: dict) -> "Optimizer":
+    def restore(self, blob: dict, trained: dict, step: int) -> "Optimizer":
         """A copy of this optimizer, kind and lr kept, with the buffers of
-        to_dict's JSON form. trained maps each name the run steps to the
-        array it trains. A buffer under another name or of another shape,
-        a missing key or a malformed entry (a step count that is not a
-        JSON integer included) raises ContractError; buffers that do not
-        fit the kind raise ShapeError."""
+        to_dict's JSON form after step steps of every name. trained maps
+        each name the run steps to the array it trains. A buffer under
+        another name or of another shape, a missing key, a malformed entry
+        (a step count that is not a JSON integer included), a trained name
+        without buffers from step 1 on, or an Adam count t other than step
+        raises ContractError; buffers that do not fit the kind ShapeError."""
         with reading("optimizer state"):
-            return replace(
+            out = replace(
                 self,
                 _m={k: decode(v, f"m[{k!r}]", trained.get(k)) for k, v in blob["m"].items()},
                 _v={k: decode(v, f"v[{k!r}]", trained.get(k)) for k, v in blob["v"].items()},
                 _t={k: decode_int(v, f"t[{k!r}]") for k, v in blob["t"].items()})
+        want = set(trained) if step and self.kind != "sgd" else set()
+        if set(out._v) != want or any(t != step for t in out._t.values()):
+            raise ContractError(f"{self.kind} buffers for {sorted(out._v)} at t={out._t} are not "
+                                f"what {step} steps leave: {sorted(want)} at t={step}")
+        return out

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codec import decode, decode_int, reading
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .linalg import ensure_finite, exact_inverse, fro_dist_identity, spectral_norm
 
 _SKEW_ATOL = 1e-10
@@ -321,12 +321,16 @@ class SkewOrthogonal:
     def restore(self, blob: dict, step: int) -> "SkewOrthogonal":
         """A copy of this state, d and the settings kept, with the arrays
         and counter of to_dict's JSON form and the given step. An array of
-        another shape than this state's, a missing key or a malformed entry
-        (a counter that is not a JSON integer included) raises
-        ContractError; state that breaks the construction rules ShapeError."""
+        another shape than this state's, a missing key, a malformed entry
+        or a counter that step steps cannot leave raises ContractError;
+        state that breaks the construction rules ShapeError."""
         with reading("skew state"):
-            return replace(self, a=decode(blob["a"], "a", self.a),
-                           a_tilde=decode(blob["a_tilde"], "a_tilde", self.a_tilde),
-                           steps_since_reset=decode_int(blob["steps_since_reset"],
-                                                        "steps_since_reset"),
-                           step=step)
+            out = replace(self, a=decode(blob["a"], "a", self.a),
+                          a_tilde=decode(blob["a_tilde"], "a_tilde", self.a_tilde),
+                          steps_since_reset=decode_int(blob["steps_since_reset"],
+                                                       "steps_since_reset"),
+                          step=step)
+        if out.steps_since_reset > step or 0 < out.reset_every <= out.steps_since_reset:
+            raise ContractError(f"steps_since_reset {out.steps_since_reset} cannot follow "
+                                f"{step} steps with reset_every {out.reset_every}")
+        return out

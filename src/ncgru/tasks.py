@@ -1,6 +1,6 @@
 """Synthetic long-memory tasks: adding, copying, parenthesis, denoise.
 
-Every generator is a pure function of (sizes, seed) built on
+Every generator is a pure function of (T, batch, seed) built on
 numpy.random.default_rng, so a batch is reproducible from its metadata
 alone. Inputs come out as float64 arrays of shape (batch, T_total, dim)
 with symbolic tasks one-hot encoded; targets are float scalars per sample
@@ -20,18 +20,21 @@ Conventions, per task:
                steps, which replay the digits. The best memoryless
                strategy scores cross-entropy 10*ln(8)/(T+20).
 
-  parenthesis  T steps over 10 bracket pairs plus one noise symbol
-               (dim 21). At each step: 1/3 noise, 1/3 open a uniform
+  parenthesis  T steps over a fixed 10 bracket pairs plus one noise
+               symbol (dim 21). At each step: 1/3 noise, 1/3 open a uniform
                bracket type, 1/3 close a uniformly chosen currently-open
                type (noise when nothing is open). Target per step: the
                total count of unmatched opens, capped at 10, so 11 classes.
 
-  denoise      T + 10 steps. 10 data symbols from an n-symbol alphabet sit
-               at random distinct positions in the first T steps, noise
-               elsewhere; a marker arrives at step T and the 10 symbols
-               must be replayed from the marker step on. Targets are the
-               blank class (index n) before the marker. Input dim n + 2
-               (data, noise, marker), output classes n + 1.
+  denoise      T + 10 steps. 10 data symbols from a fixed 10-symbol
+               alphabet sit at random distinct positions in the first T
+               steps, noise elsewhere; a marker arrives at step T and the
+               10 symbols must be replayed from the marker step on. Targets
+               are the blank class (index 10) before the marker. Input dim
+               12 (data, noise, marker), output classes 11.
+
+The sizes are fixed: a task is its name and its length T. The _TASKS
+table at the end states each task's generator, shortest T and dims once.
 """
 
 from __future__ import annotations
@@ -43,15 +46,10 @@ import numpy as np
 
 from .errors import ContractError
 
-TASK_NAMES = ("adding", "copying", "parenthesis", "denoise")
-
 PARENTHESIS_PAIRS = 10
 PARENTHESIS_CAP = 10
 DENOISE_ALPHABET = 10
 _COPY_DIGITS = 8
-_COPY_RECALL = 10
-# shortest T each generator accepts
-_MIN_T = {"adding": 2, "copying": 1, "parenthesis": 1, "denoise": 11}
 
 
 @dataclass
@@ -60,8 +58,6 @@ class TaskBatch:
 
     inputs: (batch, T_total, dim) float64.
     targets: (batch,) float for loss_kind "mse", else (batch, T_total) int.
-    final_only marks batches whose cross-entropy applies to the last step
-    only (a parenthesis variant); n_classes is None for the scalar task.
     """
 
     task: str
@@ -70,16 +66,10 @@ class TaskBatch:
     inputs: np.ndarray
     targets: np.ndarray
     loss_kind: str
-    n_classes: int | None
-    final_only: bool = False
 
     @property
     def batch_size(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[2]
 
     def step_inputs(self) -> list[np.ndarray]:
         """Per-step (dim, batch) column copies, C-contiguous, one per step."""
@@ -96,19 +86,15 @@ def _one_hot(classes: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def _check_request(task: str, T: int, batch: int = 1, seed: int = 0,
-                   n_pairs: int = PARENTHESIS_PAIRS, alphabet_n: int = DENOISE_ALPHABET) -> None:
+def _check_request(task: str, T: int, batch: int = 1, seed: int = 0) -> None:
     """The size rules of every generator; configs are checked against them too."""
-    if T < _MIN_T[task]:
-        raise ContractError(f"{task} task needs T >= {_MIN_T[task]}, got {T}")
+    min_t = _TASKS[task][1]
+    if T < min_t:
+        raise ContractError(f"{task} task needs T >= {min_t}, got {T}")
     if batch < 1:
         raise ContractError(f"batch must be >= 1, got {batch}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    if not 1 <= n_pairs <= PARENTHESIS_PAIRS:
-        raise ContractError(f"n_pairs must be in [1, {PARENTHESIS_PAIRS}], got {n_pairs}")
-    if alphabet_n < 2:
-        raise ContractError(f"denoise alphabet must have >= 2 symbols, got {alphabet_n}")
 
 
 def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
@@ -123,7 +109,7 @@ def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
     inputs[rows, second, 0] = 1.0
     targets = inputs[rows, first, 1] + inputs[rows, second, 1]
     return TaskBatch(task="adding", T=T, seed=seed, inputs=inputs,
-                     targets=targets, loss_kind="mse", n_classes=None)
+                     targets=targets, loss_kind="mse")
 
 
 def gen_copying(T: int, batch: int, seed: int) -> TaskBatch:
@@ -138,46 +124,46 @@ def gen_copying(T: int, batch: int, seed: int) -> TaskBatch:
     targets[:, T + 10:] = digits
     inputs = _one_hot(stream, 10)
     return TaskBatch(task="copying", T=T, seed=seed, inputs=inputs,
-                     targets=targets, loss_kind="xent", n_classes=_COPY_DIGITS + 1)
+                     targets=targets, loss_kind="xent")
 
 
-def unmatched_counts(symbols: np.ndarray, n_pairs: int = PARENTHESIS_PAIRS,
-                     cap: int = PARENTHESIS_CAP) -> np.ndarray:
-    """Per-step count of unmatched opens in a bracket stream, capped.
+def unmatched_counts(symbols: np.ndarray) -> np.ndarray:
+    """Per-step count of unmatched opens in a bracket stream, capped at
+    PARENTHESIS_CAP.
 
     Symbol ids follow the parenthesis encoding: 2k opens pair k, 2k+1
-    closes it, 2*n_pairs is noise. Closes of types with nothing open are
-    ignored (the generator never emits them, but the counter is total).
+    closes it, 2 * PARENTHESIS_PAIRS is noise. Closes of types with nothing
+    open are ignored (the generator never emits them, but the counter is
+    total).
     """
     symbols = np.asarray(symbols)
-    per_type = np.zeros(n_pairs, dtype=np.int64)
+    per_type = np.zeros(PARENTHESIS_PAIRS, dtype=np.int64)
     out = np.zeros(symbols.shape[0], dtype=np.int64)
     for t, sym in enumerate(symbols):
-        if sym < 2 * n_pairs:
+        if sym < 2 * PARENTHESIS_PAIRS:
             k, closing = divmod(int(sym), 2)
             if closing:
                 if per_type[k] > 0:
                     per_type[k] -= 1
             else:
                 per_type[k] += 1
-        out[t] = min(per_type.sum(), cap)
+        out[t] = min(per_type.sum(), PARENTHESIS_CAP)
     return out
 
 
-def gen_parenthesis(T: int, batch: int, seed: int, n_pairs: int = PARENTHESIS_PAIRS,
-                    final_only: bool = False) -> TaskBatch:
-    _check_request("parenthesis", T, batch, seed, n_pairs=n_pairs)
+def gen_parenthesis(T: int, batch: int, seed: int) -> TaskBatch:
+    _check_request("parenthesis", T, batch, seed)
     rng = np.random.default_rng(seed)
-    noise = 2 * n_pairs
+    noise = 2 * PARENTHESIS_PAIRS
     symbols = np.zeros((batch, T), dtype=np.int64)
     for b in range(batch):
-        open_now = np.zeros(n_pairs, dtype=np.int64)
+        open_now = np.zeros(PARENTHESIS_PAIRS, dtype=np.int64)
         for t in range(T):
             action = rng.integers(0, 3)
             if action == 0:
                 sym = noise
             elif action == 1:
-                k = int(rng.integers(0, n_pairs))
+                k = int(rng.integers(0, PARENTHESIS_PAIRS))
                 open_now[k] += 1
                 sym = 2 * k
             else:
@@ -189,54 +175,54 @@ def gen_parenthesis(T: int, batch: int, seed: int, n_pairs: int = PARENTHESIS_PA
                     open_now[k] -= 1
                     sym = 2 * k + 1
             symbols[b, t] = sym
-    targets = np.stack([unmatched_counts(symbols[b], n_pairs) for b in range(batch)])
+    targets = np.stack([unmatched_counts(symbols[b]) for b in range(batch)])
     inputs = _one_hot(symbols, noise + 1)
     return TaskBatch(task="parenthesis", T=T, seed=seed, inputs=inputs,
-                     targets=targets, loss_kind="xent",
-                     n_classes=PARENTHESIS_CAP + 1, final_only=final_only)
+                     targets=targets, loss_kind="xent")
 
 
-def gen_denoise(T: int, batch: int, seed: int,
-                alphabet_n: int = DENOISE_ALPHABET) -> TaskBatch:
-    _check_request("denoise", T, batch, seed, alphabet_n=alphabet_n)
+def gen_denoise(T: int, batch: int, seed: int) -> TaskBatch:
+    _check_request("denoise", T, batch, seed)
     rng = np.random.default_rng(seed)
     total = T + 10
-    noise = alphabet_n
-    marker = alphabet_n + 1
+    noise, marker = DENOISE_ALPHABET, DENOISE_ALPHABET + 1
     stream = np.full((batch, total), noise, dtype=np.int64)
-    targets = np.full((batch, total), alphabet_n, dtype=np.int64)
+    targets = np.full((batch, total), DENOISE_ALPHABET, dtype=np.int64)   # blank
     for b in range(batch):
         pos = np.sort(rng.choice(T, size=10, replace=False))
-        sym = rng.integers(0, alphabet_n, 10)
+        sym = rng.integers(0, DENOISE_ALPHABET, 10)
         stream[b, pos] = sym
         targets[b, T:] = sym
     stream[:, T] = marker
-    inputs = _one_hot(stream, alphabet_n + 2)
+    inputs = _one_hot(stream, DENOISE_ALPHABET + 2)
     return TaskBatch(task="denoise", T=T, seed=seed, inputs=inputs,
-                     targets=targets, loss_kind="xent", n_classes=alphabet_n + 1)
+                     targets=targets, loss_kind="xent")
 
 
-def make_batch(task: str, T: int, batch: int, seed: int, **kw) -> TaskBatch:
-    """Dispatch by task name; kw passes task-specific options through."""
-    gens = {"adding": gen_adding, "copying": gen_copying,
-            "parenthesis": gen_parenthesis, "denoise": gen_denoise}
-    if task not in gens:
+# name -> (generator, shortest T, input dim, readout dim; 1 means scalar)
+_TASKS = {
+    "adding": (gen_adding, 2, 2, 1),
+    "copying": (gen_copying, 1, 10, _COPY_DIGITS + 1),
+    "parenthesis": (gen_parenthesis, 1, 2 * PARENTHESIS_PAIRS + 1, PARENTHESIS_CAP + 1),
+    "denoise": (gen_denoise, 11, DENOISE_ALPHABET + 2, DENOISE_ALPHABET + 1),
+}
+TASK_NAMES = tuple(_TASKS)
+
+
+def _task(task: str) -> tuple:
+    if task not in _TASKS:
         raise ContractError(f"unknown task {task!r}, expected one of {TASK_NAMES}")
-    return gens[task](T, batch, seed, **kw)
+    return _TASKS[task]
 
 
-def task_dims(task: str, alphabet_n: int = DENOISE_ALPHABET,
-              n_pairs: int = PARENTHESIS_PAIRS) -> tuple[int, int]:
+def make_batch(task: str, T: int, batch: int, seed: int) -> TaskBatch:
+    """Dispatch by task name."""
+    return _task(task)[0](T, batch, seed)
+
+
+def task_dims(task: str) -> tuple[int, int]:
     """(input dim, readout dim) for a task; readout dim 1 means scalar."""
-    if task == "adding":
-        return 2, 1
-    if task == "copying":
-        return 10, _COPY_DIGITS + 1
-    if task == "parenthesis":
-        return 2 * n_pairs + 1, PARENTHESIS_CAP + 1
-    if task == "denoise":
-        return alphabet_n + 2, alphabet_n + 1
-    raise ContractError(f"unknown task {task!r}, expected one of {TASK_NAMES}")
+    return _task(task)[2:]
 
 
 def memoryless_copying_xent(batch: TaskBatch) -> float:

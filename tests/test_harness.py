@@ -106,14 +106,18 @@ def test_config_ortho_set_normalized():
         ExperimentConfig.from_dict(make_cfg(**{"model.ortho_set": ["u_q"]}))
 
 
-def test_config_task_key_scoping():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(make_cfg(**{"task.alphabet_n": 5}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(make_cfg(**{"task.n_pairs": 3}))
-    blob = make_cfg(**{"task.name": "denoise", "task.T": 20, "task.alphabet_n": 5})
-    cfg = ExperimentConfig.from_dict(blob)
-    assert cfg.task.alphabet_n == 5
+@pytest.mark.parametrize("key,value", [("alphabet_n", 10), ("n_pairs", 10),
+                                       ("final_only", False)],
+                         ids=["alphabet_n", "n_pairs", "final_only"])
+def test_config_rejects_task_options(tmp_path, key, value):
+    # a task is its name and T; the sizes these keys once set are fixed
+    for name in ("adding", "copying", "parenthesis", "denoise"):
+        blob = make_cfg(**{"task.name": name, "task.T": 20, f"task.{key}": value})
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            ExperimentConfig.from_dict(blob)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        assert main(["train", "--config", str(path)]) == 2
 
 
 def test_config_value_validation():
@@ -565,9 +569,12 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     lambda b: [b["optimizer"][key].update(w_r=np.zeros((3, 3))) for key in "mv"],  # w_r is 8x2
     lambda b: [b["optimizer"][key].update(nonsense=value)                  # nothing trains it
                for key, value in (("m", np.zeros(2)), ("v", np.zeros(2)), ("t", 2))],
+    lambda b: b["params"].pop("w_r"),                          # the run trains w_r
+    lambda b: [b["optimizer"][key].pop("w_r") for key in "mvt"],  # and steps it with Adam
 ], ids=["param_shape", "readout_w_shape", "readout_b_shape", "unknown_param",
         "other_variant_param", "ortho_param", "missing_skew", "extra_skew", "skew_size",
-        "optimizer_buffer_shape", "optimizer_unknown_buffer"])
+        "optimizer_buffer_shape", "optimizer_unknown_buffer", "missing_param",
+        "missing_optimizer_buffers"])
 def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -575,7 +582,29 @@ def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
     edit(blob)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(blob, default=encode))
-    with pytest.raises(ContractError, match="has shape|unknown array|ortho_set"):
+    with pytest.raises(ContractError, match="has shape|unknown array|ortho_set|are not"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: [opt["t"].update({name: 1000 for name in opt["t"]})
+               for opt in (b["optimizer"], b["optimizer_A"])],
+    lambda b: b["optimizer_A"]["t"].update(A_u_c=3),
+    lambda b: b.update(step=5),
+    lambda b: [skew.update(steps_since_reset=999) for skew in b["skews"].values()],
+    lambda b: b["skews"]["u_r"].update(steps_since_reset=3),   # <= step, not < reset_every
+], ids=["adam_t_1000", "adam_t_off_by_one", "step_past_counts", "skew_counter_999",
+        "skew_counter_at_reset_every"])
+def test_load_checkpoint_rejects_counters_off_step(tmp_path, edit):
+    # 4 steps at reset_every 3: every Adam t is 4, every skew counter 1
+    cfg = ExperimentConfig.from_dict(make_cfg(**{"model.reset_every": 3}))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    load_checkpoint(tmp_path / "out" / "checkpoint.json")   # the unedited file loads
+    edit(blob)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ContractError, match="are not what|cannot follow"):
         load_checkpoint(path)
 
 

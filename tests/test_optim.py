@@ -15,10 +15,10 @@ def as_json(opt):
     return json.loads(json.dumps(opt.to_dict(), default=encode))
 
 
-def restored(kind, blob, trained, lr=1e-3):
-    """A fresh optimizer of kind with blob's state; trained maps each name
-    to the array it trains."""
-    return Optimizer(kind, lr).restore(blob, trained)
+def restored(kind, blob, trained, step, lr=1e-3):
+    """A fresh optimizer of kind with blob's state after step steps;
+    trained maps each name to the array it trains."""
+    return Optimizer(kind, lr).restore(blob, trained, step)
 
 
 def skew(n, seed):
@@ -96,7 +96,7 @@ def test_updates_equal_out_of_place_formula(kind):
     for k, g in enumerate(grads):
         if k == 3:
             # a checkpoint round trip mid-run continues identically
-            back = restored(kind, as_json(opt), {"w": g}, lr=3e-3)
+            back = restored(kind, as_json(opt), {"w": g}, step=3, lr=3e-3)
             assert np.array_equal(back.step("w", g), want[k])
         upd = opt.step("w", g)
         assert np.array_equal(upd, want[k]), k
@@ -189,7 +189,7 @@ def test_serialization_round_trip():
         opt.step("w", rng.normal(size=(3, 3)))
         opt.step("b", rng.normal(size=3))
     g = rng.normal(size=(3, 3))
-    back = restored("adam", as_json(opt), {"w": g, "b": g[0]})
+    back = restored("adam", as_json(opt), {"w": g, "b": g[0]}, step=3)
     u1 = opt.step("w", g)
     u2 = back.step("w", g)
     assert np.array_equal(u1, u2)
@@ -222,18 +222,29 @@ TRAINED = {"w": np.zeros(2)}
         "rmsprop_negative_v", "sgd_v"])
 def test_from_dict_rejects_corrupt_state(kind, edit):
     blob = _stepped_blob(kind)
-    restored(kind, blob, TRAINED)  # the unedited state loads
+    restored(kind, blob, TRAINED, 3)  # the unedited state loads
     edit(blob)
     with pytest.raises(ShapeError):
-        restored(kind, blob, TRAINED)
+        restored(kind, blob, TRAINED, 3)
+
+
+@pytest.mark.parametrize("kind,trained,step", [
+    ("rmsprop", {"w": np.zeros(2), "b": np.zeros(2)}, 3),   # b is trained, yet has no v
+    ("adam", {"w": np.zeros(2), "b": np.zeros(2)}, 3),
+    ("rmsprop", TRAINED, 0),                                 # buffers before any step
+    ("adam", TRAINED, 4),                                    # t is 3
+], ids=["rmsprop_missing_name", "adam_missing_name", "rmsprop_step_0", "adam_t_off_step"])
+def test_restore_rejects_buffers_the_step_cannot_leave(kind, trained, step):
+    with pytest.raises(ContractError, match="are not what"):
+        restored(kind, _stepped_blob(kind), trained, step)
 
 
 def test_from_dict_accepts_fresh_and_stepped_state():
     for kind in ("sgd", "rmsprop", "adam"):
         fresh = Optimizer(kind, lr=1e-3).to_dict()
-        assert restored(kind, fresh, TRAINED).to_dict() == fresh
+        assert restored(kind, fresh, TRAINED, 0).to_dict() == fresh
         stepped = _stepped_blob(kind)
-        back = restored(kind, stepped, TRAINED, lr=0.5)
+        back = restored(kind, stepped, TRAINED, 3, lr=0.5)
         assert (back.kind, back.lr) == (kind, 0.5)
         assert as_json(back) == stepped
 
@@ -262,7 +273,7 @@ def test_from_dict_accepts_fresh_and_stepped_state():
         "t_float", "t_bool", "t_numeric_string"])
 def test_from_dict_rejects_malformed_blob(edit):
     blob = _stepped_blob("adam")
-    restored("adam", blob, TRAINED)
+    restored("adam", blob, TRAINED, 3)
     edit(blob)
     with pytest.raises(ContractError):
-        restored("adam", blob, TRAINED)
+        restored("adam", blob, TRAINED, 3)

@@ -445,6 +445,21 @@ def test_from_dict_rejects_corrupt_state(edit):
         built.restore(blob, step=0)
 
 
+@pytest.mark.parametrize("counter,step,reset_every", [
+    (5, 4, 50),   # more steps since the reset than steps
+    (3, 4, 3),    # the reset at the third step zeroes it
+    (9, 12, 7),
+])
+def test_restore_rejects_a_counter_the_step_cannot_leave(counter, step, reset_every):
+    built = SkewOrthogonal.create(4, seed=0, reset_every=reset_every)
+    blob = dict(_skew_blob(), steps_since_reset=counter)
+    with pytest.raises(ContractError, match="cannot follow"):
+        built.restore(blob, step=step)
+    # resets off: the counter may reach step
+    back = SkewOrthogonal.create(4, seed=0, reset_every=0).restore(blob, step=counter)
+    assert back.steps_since_reset == back.step == counter
+
+
 @pytest.mark.parametrize("edit", [
     lambda b: b.pop("a_tilde"),
     lambda b: b.update(a="x"),

@@ -64,7 +64,7 @@ def test_copying_structure():
     batch = gen_copying(T=T, batch=12, seed=3)
     assert batch.inputs.shape == (12, T + 20, 10)
     assert batch.targets.shape == (12, T + 20)
-    assert batch.n_classes == 9
+    assert np.all((batch.targets >= 0) & (batch.targets < task_dims("copying")[1]))
     # One-hot rows.
     assert np.all(np.sum(batch.inputs, axis=2) == 1.0)
     stream = np.argmax(batch.inputs, axis=2)
@@ -121,7 +121,7 @@ def test_parenthesis_structure_and_oracle():
     batch = gen_parenthesis(T=40, batch=10, seed=5)
     assert batch.inputs.shape == (10, 40, 21)
     assert batch.targets.shape == (10, 40)
-    assert batch.n_classes == 11
+    assert np.all((batch.targets >= 0) & (batch.targets < task_dims("parenthesis")[1]))
     assert np.all(np.sum(batch.inputs, axis=2) == 1.0)
     symbols = np.argmax(batch.inputs, axis=2)
     # Independent stack simulation per sample.
@@ -149,28 +149,12 @@ def test_parenthesis_noise_only_targets_zero():
     assert np.array_equal(unmatched_counts(symbols), np.zeros(6, dtype=np.int64))
 
 
-def test_parenthesis_n_pairs_options():
-    batch = gen_parenthesis(T=20, batch=4, seed=6, n_pairs=3)
-    assert batch.dim == 7
-    symbols = np.argmax(batch.inputs, axis=2)
-    assert np.max(symbols) <= 6
-    with pytest.raises(ContractError):
-        gen_parenthesis(T=20, batch=4, seed=6, n_pairs=0)
-    with pytest.raises(ContractError):
-        gen_parenthesis(T=20, batch=4, seed=6, n_pairs=11)
-
-
-def test_parenthesis_final_only_flag():
-    batch = gen_parenthesis(T=10, batch=2, seed=7, final_only=True)
-    assert batch.final_only
-
-
 def test_denoise_structure_and_oracle():
     T = 25
-    alphabet = 6
-    batch = gen_denoise(T=T, batch=8, seed=8, alphabet_n=alphabet)
+    alphabet = 10
+    batch = gen_denoise(T=T, batch=8, seed=8)
     assert batch.inputs.shape == (8, T + 10, alphabet + 2)
-    assert batch.n_classes == alphabet + 1
+    assert task_dims("denoise") == (alphabet + 2, alphabet + 1)
     stream = np.argmax(batch.inputs, axis=2)
     noise, marker = alphabet, alphabet + 1
     assert np.all(stream[:, T] == marker)
@@ -188,26 +172,24 @@ def test_denoise_structure_and_oracle():
 def test_denoise_validation():
     with pytest.raises(ContractError):
         gen_denoise(T=10, batch=2, seed=0)
-    with pytest.raises(ContractError):
-        gen_denoise(T=20, batch=2, seed=0, alphabet_n=1)
 
 
 def test_generators_deterministic():
-    for task, kw in (("adding", {}), ("copying", {}),
-                     ("parenthesis", {}), ("denoise", {})):
-        T = 15 if task != "denoise" else 15
-        a = make_batch(task, T=T, batch=5, seed=42, **kw)
-        b = make_batch(task, T=T, batch=5, seed=42, **kw)
+    for task in ("adding", "copying", "parenthesis", "denoise"):
+        a = make_batch(task, T=15, batch=5, seed=42)
+        b = make_batch(task, T=15, batch=5, seed=42)
         assert np.array_equal(a.inputs, b.inputs), task
         assert np.array_equal(a.targets, b.targets), task
-        c = make_batch(task, T=T, batch=5, seed=43, **kw)
+        c = make_batch(task, T=15, batch=5, seed=43)
         assert not np.array_equal(a.inputs, c.inputs), task
 
 
 def test_make_batch_dispatch_and_unknown():
-    batch = make_batch("parenthesis", T=12, batch=3, seed=0, n_pairs=2)
+    batch = make_batch("parenthesis", T=12, batch=3, seed=0)
     assert batch.task == "parenthesis"
-    assert batch.dim == 5
+    assert np.array_equal(batch.inputs, gen_parenthesis(T=12, batch=3, seed=0).inputs)
+    with pytest.raises(TypeError):   # a task has no options
+        make_batch("parenthesis", T=12, batch=3, seed=0, n_pairs=2)
     with pytest.raises(ContractError):
         make_batch("sorting", T=10, batch=2, seed=0)
 
@@ -216,9 +198,7 @@ def test_task_dims():
     assert task_dims("adding") == (2, 1)
     assert task_dims("copying") == (10, 9)
     assert task_dims("parenthesis") == (21, 11)
-    assert task_dims("parenthesis", n_pairs=4) == (9, 11)
     assert task_dims("denoise") == (12, 11)
-    assert task_dims("denoise", alphabet_n=5) == (7, 6)
     with pytest.raises(ContractError):
         task_dims("sorting")
 
