@@ -49,7 +49,10 @@ and seed, so its wall_ms column is pinned to 0; measured per-iteration
 times go to a timing.csv sidecar next to it. At eval iterations every
 orthogonal step also measures the exact ||E||_2, and orthogonal.csv gets
 one row per weight (ortho_set order) with its contraction certificate,
-that spectral norm and its drift; an aborted iteration writes none.
+that spectral norm and its drift; an aborted iteration writes none. The
+exact-inverse arm forms E only at eval iterations: its metrics.csv reads
+contraction_norm 0.0 on every other row, and its max_contraction covers
+the eval iterations alone.
 
 Every artifact (metrics.csv, timing.csv, orthogonal.csv, config.json,
 checkpoint.json, an ablation's summary.json) is written to a temporary
@@ -644,15 +647,19 @@ def load_checkpoint(path) -> Checkpoint:
     from the stored config, the only copy of the settings, then the state
     training changed, checked like fresh state; other keys are not read.
     Raises ContractError when the file is not such a checkpoint, misses a
-    section, holds a malformed entry or a negative step, when its arrays or
-    optimizer buffers are not those of the run or have another shape, or
-    when a counter disagrees with the step."""
+    section, holds a malformed entry, a config that fails validation or a
+    negative step, when its arrays or optimizer buffers are not those of
+    the run or have another shape, or when a counter disagrees with the
+    step."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
         if blob.get("format") != _FORMAT:
             raise ContractError(f"not an ncgru checkpoint: {path}")
-        cfg = ExperimentConfig.from_dict(blob["config"])
+        try:
+            cfg = ExperimentConfig.from_dict(blob["config"])
+        except ConfigError as err:
+            raise ContractError(f"checkpoint {path} holds an invalid config: {err}") from err
         step = decode_int(blob["step"], "step")
         if step < 0:
             raise ContractError(f"checkpoint step must be >= 0, got {step}")

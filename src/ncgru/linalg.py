@@ -5,7 +5,9 @@ All routines take and return plain numpy arrays: vectors are 1-D, matrices
 directly through scipy.linalg.lapack. The exact inverse is an LU
 factorization (dgetrf) followed by LAPACK's inverse from those factors
 (dgetri), so singularity is detected from the pivots rather than guessed
-from an exception. The spectral norm is exact: the square root of the top
+from an exception. It works on the transpose, which is column-major
+where the input is row-major, so its result comes back row-major too and
+needs no reorder. The spectral norm is exact: the square root of the top
 eigenvalue of the smaller Gram matrix (m^T m or m m^T), from one
 symmetric eigensolve (dsyevr) restricted to that eigenvalue. It agrees
 with the SVD's largest singular value to rounding, is not understated
@@ -47,26 +49,32 @@ def exact_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix: LU with partial pivoting (LAPACK dgetrf),
     then the inverse from those factors (dgetri, optimal workspace).
 
-    Raises SingularMatrixError when any pivot falls below
-    1e-14 * ||m||_F, i.e. when the matrix is singular to working precision.
-    The result is Fortran-ordered: dgetri inverts in place, column-major.
+    LAPACK is handed m^T, which is column-major when m is row-major, and
+    the transpose of its inverse is returned: inv(m) = inv(m^T)^T, so the
+    result is C-ordered with no reorder. Raises NumericError when m has a
+    NaN or Inf or ||m||_F overflows, and SingularMatrixError when a pivot
+    falls below 1e-14 * ||m||_F, i.e. when m is singular to working
+    precision.
     """
     m = _require_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"inverse needs a square matrix, got {m.shape}")
     ensure_finite(m, "matrix to invert")
     scale = float(np.linalg.norm(m))
+    if scale == math.inf:
+        # an inf scale would fail every pivot test below
+        raise NumericError("matrix to invert has an overflowing Frobenius norm")
     if scale == 0.0:
         raise SingularMatrixError("zero matrix has no inverse")
     # dgetrf factors a copy (overwrite_a defaults to 0), so m is untouched
-    lu, piv, _ = dgetrf(m)
+    lu, piv, _ = dgetrf(m.T)
     if float(np.min(np.abs(np.diag(lu)))) < _PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"matrix singular to working precision (min pivot < {_PIVOT_RTOL:g} * ||m||)"
         )
     lwork, _ = dgetri_lwork(m.shape[0])
     inv, _ = dgetri(lu, piv, lwork=int(lwork), overwrite_lu=1)
-    return ensure_finite(inv, "inverse")
+    return ensure_finite(inv.T, "inverse")
 
 
 def spectral_norm(m: np.ndarray) -> float:

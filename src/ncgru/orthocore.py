@@ -30,6 +30,13 @@ step. The diagnostics also carry the orthogonality defect of the
 refreshed U. Periodic exact-inverse resets (which skip the series) pull
 the accumulated truncation error back to machine precision.
 
+The exact arm re-inverts on every step, so E would feed only its
+diagnostics: it forms E, ||E||_F and ||E||_2 on sampled steps alone and
+reports a contraction of 0.0 (no series certified) on the others. On
+either arm a step that re-inverts assigns its new A, Atil and counters
+only once the inverse succeeded, so an inverse that fails leaves the
+state as it was.
+
 U is refreshed after every update. Right after an exact inverse (every
 exact-arm step, and every reset once the state has stepped) it is formed
 elementwise, U = (2 Atil - I) diag(d), since (I + A)^-1 (I - A) =
@@ -136,8 +143,9 @@ class NeumannDiagnostics:
     before the update was applied: ||E||_F when that is below 1, else the
     exact ||E||_2. It is < 1 exactly when ||E||_2 < 1, and never below
     ||E||_2; a value >= 1 means the step re-inverted instead of applying
-    the series. spectral_norm is the exact ||E||_2 when the step was
-    sampled or the certificate reached 1, else None. drift is
+    the series. An unsampled exact step forms no E and reports 0.0.
+    spectral_norm is the exact ||E||_2 when the step was sampled or the
+    certificate reached 1, else None. drift is
     ||U^T U - I||_F measured after the update (so a step that re-inverted
     reports the post-reset value).
     """
@@ -212,12 +220,11 @@ class SkewOrthogonal:
         O(n^2), right after an exact reset (steps_since_reset == 0 < step),
         else the product a_tilde (I - A) diag(d). Step 0 keeps the product:
         both arms start from that u, and a zero Neumann step must reproduce
-        it bit for bit. The elementwise u is built C-ordered: exact_inverse
-        returns a_tilde F-ordered, and an F-ordered u slows every product
-        with it."""
+        it bit for bit. The elementwise u takes a_tilde's memory order,
+        which exact_inverse returns C-ordered."""
         n, d = self.n, self.d
         if self.steps_since_reset == 0 < self.step:
-            self.u = np.multiply(self.a_tilde, 2.0 * d, order="C")
+            self.u = self.a_tilde * (2.0 * d)
             self.u.flat[:: n + 1] -= d
         else:
             # 0 - a, not -a: keeps the signed zeros of I - A
@@ -230,11 +237,19 @@ class SkewOrthogonal:
         """Orthogonality defect ||u^T u - I||_F of the cached u."""
         return fro_dist_identity(self.u)
 
-    def reset(self) -> None:
+    def reset(self, a: np.ndarray | None = None, step: int | None = None) -> None:
         """Recompute a_tilde exactly, zero the reset counter and refresh u
-        (elementwise once the state has stepped; see _refresh_u)."""
-        self.a_tilde = exact_inverse(np.eye(self.n) + self.a)
-        self.steps_since_reset = 0
+        (elementwise once the state has stepped; see _refresh_u).
+
+        A re-inverting step passes its new A and step count; a and step
+        default to the current ones. Nothing is assigned until the inverse
+        of I + a succeeds, so a SingularMatrixError or NumericError leaves
+        every field as it was."""
+        a = self.a if a is None else a
+        a_tilde = exact_inverse(np.eye(self.n) + a)
+        self.a, self.a_tilde, self.steps_since_reset = a, a_tilde, 0
+        if step is not None:
+            self.step = step
         self._refresh_u()
 
     def grad_pullback(self, grad_u: np.ndarray) -> np.ndarray:
@@ -255,43 +270,49 @@ class SkewOrthogonal:
 
     def _step(self, delta_a: np.ndarray, sample: bool, invert: bool) -> NeumannDiagnostics:
         """Both steps: validate delta_a, certify E = a_tilde @ delta_a,
-        apply A <- A - delta_a, then either re-invert (reset) or advance
-        a_tilde by the order-p series. It re-inverts when invert is set
-        (the exact arm), when a periodic reset is due, or when the
-        certificate is >= 1, so an uncertified series is never applied.
+        then either re-invert I + (A - delta_a) (reset) or advance a_tilde
+        by the order-p series. It re-inverts when invert is set (the exact
+        arm), when a periodic reset is due, or when the certificate is
+        >= 1, so an uncertified series is never applied. The exact arm
+        forms E only when sampled. A step that re-inverts assigns nothing
+        until the inverse succeeded, so a failing inverse changes nothing.
 
         The contraction is ||E||_F while that is below 1, else the exact
         ||E||_2, so ">= 1" is never a false alarm of the cheap bound. A NaN
         or Inf ||E||_F fails the < 1 test too, so it reaches spectral_norm's
-        finiteness check and raises NumericError before A is touched."""
+        finiteness check and raises NumericError."""
         # finiteness first: a diverging run must end in NumericError (a
         # numeric abort), not in check_skew's ShapeError
         ensure_finite(delta_a, "delta_a")
         delta_a = check_skew(delta_a, "delta_a")
         if delta_a.shape != self.a.shape:
             raise ShapeError(f"delta shape {delta_a.shape} does not match parameter {self.a.shape}")
-        e = self.a_tilde @ delta_a
-        contraction = float(np.linalg.norm(e))
-        if contraction < 1e-150 and np.any(e):
-            # entries below about 1e-160 square to 0 unless scaled first
-            scale = float(np.max(np.abs(e)))
-            contraction = scale * float(np.linalg.norm(e / scale))
-        certified = contraction < 1.0
-        exact = spectral_norm(e) if sample or not certified else None
-        if not certified:
-            contraction = exact
-        self.a = self.a - delta_a
-        self.step += 1
-        self.steps_since_reset += 1
-        if invert or contraction >= 1.0 or 0 < self.reset_every <= self.steps_since_reset:
-            self.reset()
+        contraction, exact = 0.0, None
+        if sample or not invert:
+            e = self.a_tilde @ delta_a
+            contraction = float(np.linalg.norm(e))
+            if contraction < 1e-150 and np.any(e):
+                # entries below about 1e-160 square to 0 unless scaled first
+                scale = float(np.max(np.abs(e)))
+                contraction = scale * float(np.linalg.norm(e / scale))
+            certified = contraction < 1.0
+            exact = spectral_norm(e) if sample or not certified else None
+            if not certified:
+                contraction = exact
+        step, since = self.step + 1, self.steps_since_reset + 1
+        if invert or contraction >= 1.0 or 0 < self.reset_every <= since:
+            self.reset(self.a - delta_a, step)
         else:
+            # A is replaced before the series: holding the old A through it
+            # as well made ortho_wide's iterations about 6% slower. A
+            # certified series stays finite, so nothing is left to roll back.
+            self.a = self.a - delta_a
             acc = self.a_tilde.copy()
             term = self.a_tilde
             for _ in range(self.neumann_order):
                 term = e @ term
                 acc += term
-            self.a_tilde = acc
+            self.a_tilde, self.step, self.steps_since_reset = acc, step, since
             ensure_finite(self.a_tilde, "a_tilde after Neumann update")
             self._refresh_u()
             ensure_finite(self.u, "u after Neumann update")
@@ -307,7 +328,8 @@ class SkewOrthogonal:
 
     def exact_step(self, delta_a: np.ndarray, sample: bool = False) -> NeumannDiagnostics:
         """Apply A <- A - delta_a with a fresh exact inverse (the ablation
-        reference arm). Diagnostics and sample mirror neumann_step."""
+        reference arm). A sampled step reports the diagnostics neumann_step
+        would; an unsampled one forms no E and reports contraction 0.0."""
         return self._step(delta_a, sample, invert=True)
 
     def to_dict(self) -> dict:

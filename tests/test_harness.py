@@ -274,6 +274,20 @@ def test_run_contraction_column_populated_every_ortho_step():
         assert row.drift == 0.0
 
 
+def test_exact_arm_reports_contraction_only_at_eval_iterations(tmp_path):
+    """The exact arm forms E only on sampled (eval) steps: metrics.csv
+    reads contraction 0.0 on the other rows, and max_contraction covers
+    the eval rows alone."""
+    cfg = ExperimentConfig.from_dict(make_cfg(**{"train.iterations": 5,
+                                                 "model.exact_inverse_mode": True}))
+    run = run_training(cfg, out_dir=str(tmp_path))
+    rows = read_metrics_csv(tmp_path / "metrics.csv")
+    assert [r.eval_loss is not None for r in rows] == [False, True, False, True, True]
+    for row in rows:
+        assert (row.contraction_norm > 0.0) == (row.eval_loss is not None)
+    assert run.max_contraction == max(r.contraction_norm for r in rows) > 0.0
+
+
 def _ortho_rows(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0] == ORTHO_HEADER
@@ -645,6 +659,26 @@ def test_load_checkpoint_rejects_non_json(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ContractError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("task, old_keys", [
+    ({"name": "parenthesis", "T": 5}, {"n_pairs": 10, "final_only": False}),
+    ({"name": "denoise", "T": 11}, {"alphabet_n": 10}),
+], ids=["parenthesis", "denoise"])
+def test_load_checkpoint_with_retired_task_keys_is_a_contract_error(tmp_path, task, old_keys):
+    """A checkpoint written while the task still took these keys holds a
+    config that no longer validates: the load raises ContractError naming
+    the key, chained from the ConfigError."""
+    blob = make_cfg(**{"train.iterations": 1})
+    blob["task"] = task
+    run_training(ExperimentConfig.from_dict(blob), out_dir=str(tmp_path / "out"))
+    ck = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    ck["config"]["task"].update(old_keys)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(ck))
+    with pytest.raises(ContractError, match=sorted(old_keys)[0]) as info:
+        load_checkpoint(path)
+    assert isinstance(info.value.__cause__, ConfigError)
 
 
 def test_checkpoint_skews_recomputed_consistently(tmp_path):

@@ -73,6 +73,29 @@ def test_exact_inverse_cayley_factor_n256():
     assert np.linalg.norm(inv @ m - eye, "fro") < 1e-10 * n
 
 
+def test_exact_inverse_is_c_ordered_at_n256():
+    """LAPACK works on the column-major m^T, so the inverse of a C- or
+    F-ordered m comes back C-ordered, within the two-sided tolerance."""
+    n = 256
+    rng = np.random.default_rng(14)
+    g = rng.normal(size=(n, n))
+    m = np.eye(n) + (g - g.T) / 2.0
+    eye = np.eye(n)
+    for arr in (m, np.asfortranarray(m)):
+        inv = exact_inverse(arr)
+        assert inv.flags.c_contiguous
+        assert np.linalg.norm(m @ inv - eye, "fro") < 1e-10 * n
+        assert np.linalg.norm(inv @ m - eye, "fro") < 1e-10 * n
+
+
+def test_exact_inverse_overflowing_norm_is_numeric_error():
+    # finite entries whose squares overflow: an inf ||m||_F would fail
+    # every pivot test and misreport an invertible matrix as singular
+    m = 1e200 * np.eye(3)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflow"):
+        exact_inverse(m)
+
+
 def test_exact_inverse_1x1():
     assert exact_inverse(np.array([[4.0]])).tolist() == [[0.25]]
     assert exact_inverse(np.array([[-0.5]])).tolist() == [[-2.0]]

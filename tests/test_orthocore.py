@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncgru.codec import encode
-from ncgru.errors import ContractError, NumericError, ShapeError
+from ncgru.errors import ContractError, NumericError, ShapeError, SingularMatrixError
 from ncgru.linalg import exact_inverse, fro_dist_identity, spectral_norm
 from ncgru.optim import Optimizer
 from ncgru.orthocore import (
@@ -269,11 +269,28 @@ def test_contraction_norm_exact_at_n256():
 
 
 def test_unsampled_step_skips_the_exact_norm():
+    """An unsampled Neumann step reports its ||E||_F certificate alone; an
+    unsampled exact step forms no E at all and reports 0.0."""
     sk = SkewOrthogonal.create(16, seed=8)
-    for step in (sk.neumann_step, sk.exact_step):
-        diag = step(1e-4 * random_skew(16, seed=9))
-        assert diag.spectral_norm is None
-        assert 0.0 < diag.contraction_norm < 1.0
+    diag = sk.neumann_step(1e-4 * random_skew(16, seed=9))
+    assert diag.spectral_norm is None
+    assert 0.0 < diag.contraction_norm < 1.0
+    diag = sk.exact_step(1e-4 * random_skew(16, seed=10))
+    assert diag.spectral_norm is None
+    assert diag.contraction_norm == 0.0
+
+
+def test_sampled_exact_step_reports_the_neumann_diagnostics():
+    """From the same state, a sampled exact step reports the ||E||_F and
+    exact ||E||_2 a sampled Neumann step does."""
+    n = 32
+    neumann = SkewOrthogonal.create(n, seed=50, reset_every=0)
+    exact = SkewOrthogonal.create(n, seed=50, reset_every=0)
+    delta = 1e-3 * random_skew(n, seed=51)
+    e = neumann.a_tilde @ delta
+    got, want = exact.exact_step(delta, sample=True), neumann.neumann_step(delta, sample=True)
+    assert got.contraction_norm == want.contraction_norm == np.linalg.norm(e)
+    assert got.spectral_norm == want.spectral_norm == spectral_norm(e)
 
 
 def test_certificate_at_one_falls_back_to_exact_norm():
@@ -390,16 +407,48 @@ def test_uncertified_step_reinverts():
 @pytest.mark.parametrize("sample", [False, True])
 def test_neumann_step_resetting_every_step_is_exact_step(sample):
     """With reset_every=1 every Neumann step re-inverts, bit for bit as
-    the exact arm."""
+    the exact arm. The diagnostics agree on sampled steps; unsampled, the
+    exact arm forms no E and reports contraction 0.0."""
     n = 12
     neumann = SkewOrthogonal.create(n, seed=26, reset_every=1)
     exact = SkewOrthogonal.create(n, seed=26, reset_every=1)
     for k in range(5):
         delta = 1e-2 * random_skew(n, seed=27 + k)
         got, want = neumann.neumann_step(delta, sample), exact.exact_step(delta, sample)
-        assert got == want
+        if sample:
+            assert got == want
+        else:
+            assert 0.0 < got.contraction_norm < 1.0 and want.contraction_norm == 0.0
+            assert got.drift == want.drift
+            assert got.spectral_norm is want.spectral_norm is None
         for field in ("a", "a_tilde", "u"):
             assert _bits(getattr(neumann, field)) == _bits(getattr(exact, field)), field
+
+
+# a huge 3x3 skew block is singular (odd size), so I + A is singular to
+# working precision
+_SINGULAR_DELTA = np.zeros((8, 8))
+_SINGULAR_DELTA[:3, :3] = 1e16 * random_skew(3, seed=52)
+
+
+@pytest.mark.parametrize("delta, error", [
+    (_SINGULAR_DELTA, SingularMatrixError),
+    (1e200 * random_skew(8, seed=52), NumericError),   # ||I + A||_F overflows
+], ids=["singular", "overflow"])
+@pytest.mark.parametrize("kind", ["neumann_step", "exact_step"])
+def test_failed_reinversion_leaves_the_state_unchanged(kind, delta, error):
+    """A step whose exact inverse raises assigns nothing: a, a_tilde, u
+    and both counters keep their bits. The Neumann arm re-inverts here
+    because the huge delta leaves its series uncertified."""
+    sk = SkewOrthogonal.create(8, seed=53, reset_every=0)
+    for k in range(2):
+        sk.neumann_step(1e-3 * random_skew(8, seed=54 + k))
+    before = {f: _bits(getattr(sk, f)) for f in ("a", "a_tilde", "u", "d")}
+    counters = (sk.step, sk.steps_since_reset)
+    with np.errstate(all="ignore"), pytest.raises(error):
+        getattr(sk, kind)(delta)
+    assert {f: _bits(getattr(sk, f)) for f in before} == before
+    assert (sk.step, sk.steps_since_reset) == counters == (2, 2)
 
 
 def test_serialization_round_trip_bitwise():
