@@ -12,8 +12,9 @@ from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forwa
                     jacobian_h, modrelu, sequence_bptt, sequence_forward)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
-from .harness import (ExperimentConfig, LinearReadoutMse, Model, RunResult, build_model,
-                      load_checkpoint, run_ablation, run_gradcheck, run_training, save_checkpoint)
+from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState, build_model,
+                      load_checkpoint, run_ablation, run_gradcheck, run_training, save_checkpoint,
+                      train_steps)
 from .linalg import exact_inverse, fro_dist_identity, spectral_norm
 from .optim import Optimizer
 from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
@@ -31,8 +32,8 @@ __all__ = [
     "sequence_bptt", "sequence_forward",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
     "NumericError", "ShapeError", "SingularMatrixError",
-    "ExperimentConfig", "Model", "RunResult", "build_model", "load_checkpoint",
-    "run_ablation", "run_gradcheck", "run_training", "save_checkpoint",
+    "ExperimentConfig", "RunResult", "RunState", "build_model", "load_checkpoint",
+    "run_ablation", "run_gradcheck", "run_training", "save_checkpoint", "train_steps",
     "exact_inverse", "fro_dist_identity", "spectral_norm",
     "Optimizer",
     "NeumannDiagnostics", "SkewOrthogonal", "cayley_transform", "init_skew",

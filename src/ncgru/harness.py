@@ -22,7 +22,7 @@ errors: an int is never a bool or a float, a float must be finite):
       "train":     {"iterations": int >= 0, "batch_size": int >= 1,
                     "seed": int >= 0, "eval_every": int >= 1 (default 50),
                     "eval_batch_size": int >= 1 (default batch_size)},
-      "output":    "directory"           (optional)
+      "output":    "directory"           (optional; never recorded)
     }
 
 The section dataclasses check these rules on construction, so a config
@@ -35,18 +35,19 @@ the held-out eval batch seed+1 (generated once), and the training batch of
 iteration k uses seed+2+k. Nothing reads global RNG state, so a run is a
 pure function of its config.
 
-Each training iteration: generate batch -> sequence_bptt -> optimizer
-steps for ordinary weights and the readout -> for every weight in
-ortho_set, grad_pullback then a Neumann (or exact-inverse) step -> emit a
-MetricRow. A non-finite training or eval loss, gradient or orthogonal
-state, or an I + A too ill-conditioned to invert, ends the run with one
-structured row (train_loss = nan) and status "numeric_error" instead of
-a crash; such a run writes no checkpoint, because the abort can come
-after some weights of the iteration were already updated.
+A RunState holds a run between iterations, and train_steps advances it
+by one: generate batch -> sequence_bptt -> optimizer steps for ordinary
+weights and the readout -> for every weight in ortho_set, grad_pullback
+then a Neumann (or exact-inverse) step -> yield a MetricRow. A
+non-finite training or eval loss, gradient or orthogonal state, or an
+I + A too ill-conditioned to invert, ends the run with one structured
+row (train_loss = nan) and status "numeric_error" instead of a crash;
+such a run writes no checkpoint, because the abort can come after some
+weights of the iteration were already updated.
 
 The metrics CSV must be byte-identical across reruns of the same config
-and seed, so its wall_ms column is pinned to 0; measured per-iteration
-times go to a timing.csv sidecar next to it. At eval iterations every
+and seed, so its wall_ms column is pinned to 0; measured times go to a
+timing.csv sidecar, one row per metrics row. At eval iterations every
 orthogonal step also measures the exact ||E||_2, and orthogonal.csv gets
 one row per weight (ortho_set order) with its contraction certificate,
 that spectral norm and its drift; an aborted iteration writes none. The
@@ -60,11 +61,12 @@ file in its directory and then renamed over the old one, so a process
 that dies mid-write leaves the earlier file whole. Nothing is fsynced:
 this does not guard against a power loss.
 
-A checkpoint is one JSON document tagged ncgru-checkpoint-v2 in which
-every float64 array is an ncgru.codec record, base64 of its
-little-endian bytes plus its shape, so a load gives back the same bits.
-It holds the config, the only copy of the run's settings, and the state
-training changes; a load builds the run from the config and restores it.
+A checkpoint is a RunState as one JSON document tagged
+ncgru-checkpoint-v2, in which every float64 array is an ncgru.codec
+record, base64 of its little-endian bytes plus its shape, so a load gives
+back the same bits. It holds the config, the only copy of the run's
+settings, and the state training changes; a load builds the RunState
+from the config, restores that state, and train_steps continues it.
 """
 
 from __future__ import annotations
@@ -289,11 +291,9 @@ class ExperimentConfig:
         return cls.from_dict(blob)
 
     def to_dict(self) -> dict:
-        out = {"task": self.task.to_dict(), "model": self.model.to_dict(),
-               "optimizer": self.optimizer.to_dict(), "train": self.train.to_dict()}
-        if self.output is not None:
-            out["output"] = self.output
-        return out
+        """What config.json and checkpoints record: output, where a run writes, is left out."""
+        return {"task": self.task.to_dict(), "model": self.model.to_dict(),
+                "optimizer": self.optimizer.to_dict(), "train": self.train.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +365,27 @@ class SoftmaxReadoutXent:
 
 
 # ---------------------------------------------------------------------------
-# model assembly
+# run state
 
 
 @dataclass
-class Model:
+class RunState:
+    """A run between iterations, as a checkpoint stores it: config, cell
+    weights (an orthogonal one is its skew's u), skews, readout y = w h + b,
+    the two optimizers (opt_a, of the skews, is None without ortho_set)
+    and the number of iterations done."""
+
+    config: ExperimentConfig
     params: CellParams
     skews: dict
-    readout_w: np.ndarray
-    readout_b: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    opt: Optimizer
+    opt_a: Optimizer | None
+    step: int = 0
 
 
-def build_model(cfg: ExperimentConfig) -> Model:
+def build_model(cfg: ExperimentConfig) -> RunState:
     in_dim, out_dim = task_dims(cfg.task.name)
     m = cfg.model
     seed = cfg.train.seed
@@ -391,31 +400,22 @@ def build_model(cfg: ExperimentConfig) -> Model:
         setattr(params, name, skew.u)
     rng = np.random.default_rng(seed + _READOUT_SEED)
     lim = np.sqrt(6.0 / (out_dim + m.hidden))
-    readout_w = rng.uniform(-lim, lim, (out_dim, m.hidden))
-    readout_b = np.zeros(out_dim)
-    return Model(params=params, skews=skews, readout_w=readout_w, readout_b=readout_b)
-
-
-def _build_optimizers(cfg: ExperimentConfig) -> tuple[Optimizer, Optimizer | None]:
-    """The optimizer of the readout and the ordinary weights, and the one
-    of the skew parameters (lr_A, else lr), which exists exactly when
-    ortho_set is non-empty."""
     sec = cfg.optimizer
-    opt_a = None
-    if cfg.model.ortho_set:
-        opt_a = Optimizer(sec.kind, sec.lr if sec.lr_a is None else sec.lr_a)
-    return Optimizer(sec.kind, sec.lr), opt_a
+    opt_a = Optimizer(sec.kind, sec.lr if sec.lr_a is None else sec.lr_a) if skews else None
+    return RunState(config=cfg, params=params, skews=skews,
+                    w=rng.uniform(-lim, lim, (out_dim, m.hidden)), b=np.zeros(out_dim),
+                    opt=Optimizer(sec.kind, sec.lr), opt_a=opt_a)
 
 
-def make_loss(model: Model, batch: TaskBatch):
+def make_loss(state: RunState, batch: TaskBatch):
     if batch.loss_kind == "mse":
-        return LinearReadoutMse(model.readout_w, model.readout_b, batch.targets)
-    return SoftmaxReadoutXent(model.readout_w, model.readout_b, batch.targets)
+        return LinearReadoutMse(state.w, state.b, batch.targets)
+    return SoftmaxReadoutXent(state.w, state.b, batch.targets)
 
 
-def evaluate(model: Model, batch: TaskBatch) -> float:
-    hs = sequence_forward(model.params, batch.step_inputs())
-    loss, _ = make_loss(model, batch).loss_and_grads(hs)
+def evaluate(state: RunState, batch: TaskBatch) -> float:
+    hs = sequence_forward(state.params, batch.step_inputs())
+    loss, _ = make_loss(state, batch).loss_and_grads(hs)
     return float(loss)
 
 
@@ -450,107 +450,113 @@ class RunResult:
     checkpoint_path: str | None = None
 
 
+def train_steps(state: RunState):
+    """Train state through iterations state.step + 1 ... train.iterations,
+    fresh or loaded alike, yielding each one's MetricRow and orthogonal.csv
+    rows once state.step is advanced to it. The held-out batch comes from
+    the config, drawn once. A numeric abort raises NumericError or
+    SingularMatrixError, possibly mid-update.
+    A generator keeps each iteration's arrays until the next replaces them;
+    a function per iteration freed them, glibc trimmed the heap, and the
+    next iteration paged it back in (adding_desk iter_ms_p50 5.7% slower,
+    10 of 10 rotated runs)."""
+    cfg, params, ortho = state.config, state.params, state.config.model.ortho_set
+    eval_batch = make_batch(cfg.task.name, cfg.task.T,
+                            cfg.train.eval_batch_size or cfg.train.batch_size,
+                            cfg.train.seed + _EVAL_SEED)
+    for k in range(state.step + 1, cfg.train.iterations + 1):
+        batch = make_batch(cfg.task.name, cfg.task.T, cfg.train.batch_size,
+                           cfg.train.seed + _BATCH_SEED_BASE + k)
+        loss_obj = make_loss(state, batch)
+        # Overflow in a diverging run shows up as a non-finite loss or
+        # gradient check, not as a flood of runtime warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = sequence_bptt(params, batch.step_inputs(), loss_obj)
+            if not np.isfinite(result.loss):
+                raise NumericError(f"non-finite training loss at iteration {k}")
+
+            state.w -= state.opt.step("readout_w", loss_obj.grad_w)
+            state.b -= state.opt.step("readout_b", loss_obj.grad_b)
+            for name, arr in params.named_arrays():
+                if name in ortho:
+                    continue
+                arr -= state.opt.step(name, getattr(result.grads, name))
+
+            is_eval = k % cfg.train.eval_every == 0 or k == cfg.train.iterations
+            drift = 0.0
+            contraction = 0.0
+            sampled = []
+            for name in ortho:
+                skew = state.skews[name]
+                grad_a = skew.grad_pullback(getattr(result.grads, name))
+                delta = state.opt_a.step("A_" + name, grad_a)
+                if cfg.model.exact_inverse_mode:
+                    diag = skew.exact_step(delta, sample=is_eval)
+                else:
+                    diag = skew.neumann_step(delta, sample=is_eval)
+                setattr(params, name, skew.u)
+                drift = max(drift, diag.drift)
+                contraction = max(contraction, diag.contraction_norm)
+                if is_eval:
+                    sampled.append(f"{k},{name},{diag.contraction_norm!r},"
+                                   f"{diag.spectral_norm!r},{diag.drift!r}")
+
+            eval_loss = None
+            if is_eval:
+                eval_loss = evaluate(state, eval_batch)
+                if not np.isfinite(eval_loss):
+                    raise NumericError(f"non-finite eval loss at iteration {k}")
+        state.step = k
+        yield MetricRow(step=k, train_loss=result.loss, eval_loss=eval_loss,
+                        drift=drift, contraction_norm=contraction), sampled
+
+
 def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                  seed: int | None = None) -> RunResult:
-    """Train per cfg; see the module docstring for the loop layout.
-
-    out_dir and seed override the config when given. With no output
-    directory anywhere, the run stays in memory and writes nothing.
-    """
+    """Train per cfg through train_steps and write the artifacts. out_dir
+    and seed override the config when given; with no output directory
+    anywhere, the run stays in memory and writes nothing."""
     if seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=seed))
     if out_dir is None:
         out_dir = cfg.output
-
-    model = build_model(cfg)
-    params = model.params
-    ortho = cfg.model.ortho_set
-    opt, opt_a = _build_optimizers(cfg)
-
-    tsec = cfg.task
-    eval_bs = cfg.train.eval_batch_size or cfg.train.batch_size
-    eval_batch = make_batch(tsec.name, tsec.T, eval_bs, cfg.train.seed + _EVAL_SEED)
-
+    state = build_model(cfg)
+    steps = train_steps(state)
     metrics: list[MetricRow] = []
-    timings: list[str] = []
     ortho_rows: list[str] = []
+    laps = [time.perf_counter()]   # iteration k runs from laps[k - 1] to laps[k]
     status = "completed"
-    final_eval = None
-    max_drift = 0.0
-    max_contraction = 0.0
-
-    for k in range(1, cfg.train.iterations + 1):
-        t0 = time.perf_counter()
-        batch = make_batch(tsec.name, tsec.T, cfg.train.batch_size,
-                           cfg.train.seed + _BATCH_SEED_BASE + k)
-        loss_obj = make_loss(model, batch)
-        try:
-            # Overflow in a diverging run shows up as a non-finite loss or
-            # gradient check, not as a flood of runtime warnings.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                result = sequence_bptt(params, batch.step_inputs(), loss_obj)
-                if not np.isfinite(result.loss):
-                    raise NumericError(f"non-finite training loss at iteration {k}")
-
-                model.readout_w -= opt.step("readout_w", loss_obj.grad_w)
-                model.readout_b -= opt.step("readout_b", loss_obj.grad_b)
-                for name, arr in params.named_arrays():
-                    if name in ortho:
-                        continue
-                    arr -= opt.step(name, getattr(result.grads, name))
-
-                is_eval = k % cfg.train.eval_every == 0 or k == cfg.train.iterations
-                drift = 0.0
-                contraction = 0.0
-                sampled = []
-                for name in ortho:
-                    skew = model.skews[name]
-                    grad_a = skew.grad_pullback(getattr(result.grads, name))
-                    delta = opt_a.step("A_" + name, grad_a)
-                    if cfg.model.exact_inverse_mode:
-                        diag = skew.exact_step(delta, sample=is_eval)
-                    else:
-                        diag = skew.neumann_step(delta, sample=is_eval)
-                    setattr(params, name, skew.u)
-                    drift = max(drift, diag.drift)
-                    contraction = max(contraction, diag.contraction_norm)
-                    if is_eval:
-                        sampled.append(f"{k},{name},{diag.contraction_norm!r},"
-                                       f"{diag.spectral_norm!r},{diag.drift!r}")
-
-                eval_loss = None
-                if is_eval:
-                    eval_loss = evaluate(model, eval_batch)
-                    if not np.isfinite(eval_loss):
-                        raise NumericError(f"non-finite eval loss at iteration {k}")
-                    final_eval = eval_loss
-        except (NumericError, SingularMatrixError):
-            metrics.append(MetricRow(step=k, train_loss=float("nan"), eval_loss=None,
-                                     drift=max_drift, contraction_norm=max_contraction))
-            status = "numeric_error"
-            break
-
-        max_drift = max(max_drift, drift)
-        max_contraction = max(max_contraction, contraction)
-        metrics.append(MetricRow(step=k, train_loss=result.loss, eval_loss=eval_loss,
-                                 drift=drift, contraction_norm=contraction))
-        ortho_rows.extend(sampled)
-        timings.append(f"{k},{int(round((time.perf_counter() - t0) * 1000))}")
-
-    run = RunResult(config=cfg, status=status, metrics=metrics, final_eval=final_eval,
+    try:
+        for row, sampled in steps:
+            metrics.append(row)
+            ortho_rows.extend(sampled)
+            laps.append(time.perf_counter())
+    except (NumericError, SingularMatrixError):
+        laps.append(time.perf_counter())
+        status = "numeric_error"
+    max_drift = max((row.drift for row in metrics), default=0.0)
+    max_contraction = max((row.contraction_norm for row in metrics), default=0.0)
+    if status != "completed":   # the abort row, with the maxima so far
+        metrics.append(MetricRow(step=state.step + 1, train_loss=float("nan"), eval_loss=None,
+                                 drift=max_drift, contraction_norm=max_contraction))
+    evals = [row.eval_loss for row in metrics if row.eval_loss is not None]
+    run = RunResult(config=cfg, status=status, metrics=metrics,
+                    final_eval=evals[-1] if evals else None,
                     max_drift=max_drift, max_contraction=max_contraction)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         run.metrics_path = os.path.join(out_dir, "metrics.csv")
         write_metrics_csv(metrics, run.metrics_path)
-        _write_csv(os.path.join(out_dir, "timing.csv"), "step,wall_ms", timings)
+        _write_csv(os.path.join(out_dir, "timing.csv"), "step,wall_ms",
+                   (f"{row.step},{round((end - start) * 1000)}"
+                    for row, start, end in zip(metrics, laps, laps[1:])))
         _write_csv(os.path.join(out_dir, "orthogonal.csv"), ORTHO_HEADER, ortho_rows)
         _write_json(os.path.join(out_dir, "config.json"), cfg.to_dict(),
                     indent=2, sort_keys=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.json")
         if status == "completed":
             run.checkpoint_path = checkpoint_path
-            save_checkpoint(checkpoint_path, cfg, model, opt, opt_a, step=len(metrics))
+            save_checkpoint(checkpoint_path, state)
         elif os.path.exists(checkpoint_path):
             # A numeric abort can strike mid-update, so its state is not
             # saved; a checkpoint of an earlier run would not match metrics.csv.
@@ -611,9 +617,8 @@ def read_metrics_csv(path) -> list[MetricRow]:
 # checkpoints
 
 
-def save_checkpoint(path, cfg: ExperimentConfig, model: Model,
-                    opt: Optimizer, opt_a: Optimizer | None, step: int) -> None:
-    """JSON snapshot of the config and of everything training changes,
+def save_checkpoint(path, state: RunState) -> None:
+    """JSON snapshot of state: its config and everything training changes,
     tagged ncgru-checkpoint-v2. json.dump streams it and encodes each
     float64 array as a codec record only when it reaches that array, so
     the bytes are stored exactly and load -> save reproduces the file byte
@@ -621,36 +626,27 @@ def save_checkpoint(path, cfg: ExperimentConfig, model: Model,
     load_checkpoint rebuilds it from there bit for bit."""
     blob = {
         "format": _FORMAT,
-        "step": step,
-        "config": cfg.to_dict(),
-        "params": {name: arr for name, arr in model.params.named_arrays()
-                   if name not in model.skews},
-        "skews": {name: skew.to_dict() for name, skew in model.skews.items()},
-        "readout": {"w": model.readout_w, "b": model.readout_b},
-        "optimizer": opt.to_dict(),
-        "optimizer_A": opt_a.to_dict() if opt_a is not None else None,
+        "step": state.step,
+        "config": state.config.to_dict(),
+        "params": {name: arr for name, arr in state.params.named_arrays()
+                   if name not in state.skews},
+        "skews": {name: skew.to_dict() for name, skew in state.skews.items()},
+        "readout": {"w": state.w, "b": state.b},
+        "optimizer": state.opt.to_dict(),
+        "optimizer_A": state.opt_a.to_dict() if state.opt_a is not None else None,
     }
     _write_json(path, blob, indent=1, default=encode)
 
 
-@dataclass
-class Checkpoint:
-    config: ExperimentConfig
-    model: Model
-    optimizer: Optimizer
-    optimizer_a: Optimizer | None
-    step: int
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Rebuild a run from save_checkpoint's file: the model and optimizers
-    from the stored config, the only copy of the settings, then the state
-    training changed, checked like fresh state; other keys are not read.
-    Raises ContractError when the file is not such a checkpoint, misses a
-    section, holds a malformed entry, a config that fails validation or a
-    negative step, when its arrays or optimizer buffers are not those of
-    the run or have another shape, or when a counter disagrees with the
-    step."""
+def load_checkpoint(path) -> RunState:
+    """The RunState save_checkpoint wrote, which train_steps continues as
+    if the run had not stopped: build_model of the stored config, the only
+    copy of the settings, with the trained state restored onto it and
+    checked like fresh state; other keys are not read. Raises ContractError
+    when the file is not such a checkpoint, misses a section, holds a
+    malformed entry, a config that fails validation or a negative step,
+    when its arrays or optimizer buffers are not those of the run or have
+    another shape, or when a counter disagrees with the step."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -663,33 +659,33 @@ def load_checkpoint(path) -> Checkpoint:
         step = decode_int(blob["step"], "step")
         if step < 0:
             raise ContractError(f"checkpoint step must be >= 0, got {step}")
-        model = build_model(cfg)
+        state = build_model(cfg)
+        state.step = step
         # an orthogonal weight is stored only as its skew state
-        trained = {name: arr for name, arr in model.params.named_arrays()
-                   if name not in model.skews}
+        trained = {name: arr for name, arr in state.params.named_arrays()
+                   if name not in state.skews}
         if set(blob["params"]) != set(trained):
             raise ContractError(f"checkpoint params {sorted(blob['params'])} are not "
                                 f"the run's {sorted(trained)}")
         for name, like in trained.items():
-            setattr(model.params, name, decode(blob["params"][name], f"params.{name}", like))
-        if set(blob["skews"]) != set(model.skews):
+            setattr(state.params, name, decode(blob["params"][name], f"params.{name}", like))
+        if set(blob["skews"]) != set(state.skews):
             raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
                                 f"the config's ortho_set {list(cfg.model.ortho_set)}")
-        for name, skew in model.skews.items():
-            model.skews[name] = skew = skew.restore(blob["skews"][name], step)
-            setattr(model.params, name, skew.u)
-        model.readout_w = decode(blob["readout"]["w"], "readout.w", model.readout_w)
-        model.readout_b = decode(blob["readout"]["b"], "readout.b", model.readout_b)
-        opt, opt_a = _build_optimizers(cfg)
-        if (blob["optimizer_A"] is None) != (opt_a is None):
+        for name, skew in state.skews.items():
+            state.skews[name] = skew = skew.restore(blob["skews"][name], step)
+            setattr(state.params, name, skew.u)
+        state.w = decode(blob["readout"]["w"], "readout.w", state.w)
+        state.b = decode(blob["readout"]["b"], "readout.b", state.b)
+        if (blob["optimizer_A"] is None) != (state.opt_a is None):
             raise ContractError(f"checkpoint optimizer_A must be null exactly when the "
                                 f"config's ortho_set {list(cfg.model.ortho_set)} is empty")
-        trained.update(readout_w=model.readout_w, readout_b=model.readout_b)
-        opt = opt.restore(blob["optimizer"], trained, step)
-        if opt_a is not None:
-            skew_a = {"A_" + name: skew.a for name, skew in model.skews.items()}
-            opt_a = opt_a.restore(blob["optimizer_A"], skew_a, step)
-        return Checkpoint(config=cfg, model=model, optimizer=opt, optimizer_a=opt_a, step=step)
+        trained.update(readout_w=state.w, readout_b=state.b)
+        state.opt = state.opt.restore(blob["optimizer"], trained, step)
+        if state.opt_a is not None:
+            skew_a = {"A_" + name: skew.a for name, skew in state.skews.items()}
+            state.opt_a = state.opt_a.restore(blob["optimizer_A"], skew_a, step)
+        return state
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ ablations, gradient checks, and the CLI entry point."""
 
 import copy
 import dataclasses
+import itertools
 import json
 import os
 from pathlib import Path
@@ -20,12 +21,14 @@ from ncgru.harness import (
     METRICS_HEADER,
     ORTHO_HEADER,
     SoftmaxReadoutXent,
+    build_model,
     load_checkpoint,
     read_metrics_csv,
     run_ablation,
     run_gradcheck,
     run_training,
     save_checkpoint,
+    train_steps,
 )
 from ncgru.orthocore import SkewOrthogonal
 
@@ -353,6 +356,17 @@ def test_exact_spectral_norm_runs_only_at_eval_iterations(monkeypatch):
         assert len(calls) == 6
 
 
+def test_timing_csv_has_a_row_for_every_metrics_row(tmp_path):
+    # iteration 2 aborts; its metrics row has a timing row too
+    cfg = ExperimentConfig.from_dict(make_cfg(**THREE_ORTHO, **SGD_1E8))
+    assert run_training(cfg, out_dir=str(tmp_path)).status == "numeric_error"
+    steps = [row.step for row in read_metrics_csv(tmp_path / "metrics.csv")]
+    timing = (tmp_path / "timing.csv").read_text().splitlines()
+    assert steps == [1, 2]
+    assert timing[0] == "step,wall_ms"
+    assert [int(line.split(",")[0]) for line in timing[1:]] == steps
+
+
 def test_run_numeric_error_aborts_with_structured_row():
     cfg = ExperimentConfig.from_dict(make_cfg(**SGD_1E8))
     run = run_training(cfg)
@@ -436,26 +450,69 @@ def _bits(arr):
 def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch, edits):
     saved = {}
 
-    def keep_model(path, cfg, model, *args, **kwargs):
-        saved.update(model.params.named_arrays())
-        return save_checkpoint(path, cfg, model, *args, **kwargs)
+    def keep_params(path, state):
+        saved.update(state.params.named_arrays())
+        return save_checkpoint(path, state)
 
-    monkeypatch.setattr(harness, "save_checkpoint", keep_model)
+    monkeypatch.setattr(harness, "save_checkpoint", keep_params)
     cfg = ExperimentConfig.from_dict(make_cfg(**edits))
     run = run_training(cfg, out_dir=str(tmp_path / "out"))
     path = tmp_path / "out" / "checkpoint.json"
     ck = load_checkpoint(path)
     assert ck.step == 4
     assert ck.config == run.config
-    assert (ck.optimizer_a is None) == (cfg.model.variant == "gru")
+    assert (ck.opt_a is None) == (cfg.model.variant == "gru")
     # every weight, u_r, u_u and u_c included, is the run's bit for bit
-    assert {name: _bits(arr) for name, arr in ck.model.params.named_arrays()} == \
+    assert {name: _bits(arr) for name, arr in ck.params.named_arrays()} == \
         {name: _bits(arr) for name, arr in saved.items()}
     # Save the loaded state and compare bytes: the arrays' bytes are stored.
     again = tmp_path / "again.json"
-    save_checkpoint(again, ck.config, ck.model, ck.optimizer, ck.optimizer_a,
-                    step=ck.step)
+    save_checkpoint(again, ck)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edits, k", [
+    ({"model.reset_every": 3, "train.iterations": 5}, 2),   # resets at step 3, after the load
+    ({"model.exact_inverse_mode": True}, 2),
+    ({"model.variant": "GRU"}, 3),
+], ids=["neumann_reset", "exact", "gru"])
+def test_continuing_a_checkpoint_is_bit_exact(tmp_path, edits, k):
+    """k iterations of train_steps, a save and a load, then the rest: the
+    metric rows, the orthogonal.csv rows and the final checkpoint are
+    those of the uninterrupted run."""
+    cfg = ExperimentConfig.from_dict(make_cfg(**edits))
+    whole = run_training(cfg, out_dir=str(tmp_path / "whole"))
+    state = build_model(cfg)
+    steps = list(itertools.islice(train_steps(state), k))
+    assert state.step == k
+    path = tmp_path / "part.json"
+    save_checkpoint(path, state)
+    state = load_checkpoint(path)
+    steps += train_steps(state)
+    assert [row for row, _ in steps] == whole.metrics
+    ortho = (tmp_path / "whole" / "orthogonal.csv").read_text().splitlines()[1:]
+    assert [line for _, sampled in steps for line in sampled] == ortho
+    save_checkpoint(path, state)
+    assert path.read_bytes() == (tmp_path / "whole" / "checkpoint.json").read_bytes()
+
+
+def test_recorded_config_names_no_output(tmp_path):
+    """config.json and the checkpoint record the settings, not the directory
+    the run wrote to: a rerun of config.json writes where it is sent, and a
+    config and seed give the same checkpoint in any directory."""
+    blob = make_cfg()
+    blob["output"] = str(tmp_path / "a")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(blob))
+    b, c = tmp_path / "b", tmp_path / "c"
+    assert main(["train", "--config", str(cfg_path), "--out", str(b)]) == 0
+    assert "output" not in json.loads((b / "config.json").read_text())
+    assert "output" not in json.loads((b / "checkpoint.json").read_text())["config"]
+    assert main(["train", "--config", str(b / "config.json")]) == 0   # in memory
+    assert main(["train", "--config", str(b / "config.json"), "--out", str(c)]) == 0
+    assert not (tmp_path / "a").exists()
+    for name in ("config.json", "checkpoint.json"):
+        assert (b / name).read_bytes() == (c / name).read_bytes()
 
 
 def _parent_layout(blob):
@@ -478,16 +535,15 @@ def test_checkpoint_in_the_parent_layout_loads_to_the_config(tmp_path):
     new, old = load_checkpoint(path), load_checkpoint(old_path)
     for ck in (new, old):
         assert ck.step == 4
-        for skew in ck.model.skews.values():
+        for skew in ck.skews.values():
             assert (skew.neumann_order, skew.reset_every, skew.step) == (2, 3, 4)
             assert skew.d.tolist() == [-1.0] * 4 + [1.0] * 4
-        for opt in (ck.optimizer, ck.optimizer_a):
+        for opt in (ck.opt, ck.opt_a):
             assert (opt.kind, opt.lr) == ("adam", 1e-3)
-    assert {name: _bits(arr) for name, arr in old.model.params.named_arrays()} == \
-        {name: _bits(arr) for name, arr in new.model.params.named_arrays()}
+    assert {name: _bits(arr) for name, arr in old.params.named_arrays()} == \
+        {name: _bits(arr) for name, arr in new.params.named_arrays()}
     # the stored arrays too: both save to the file the run wrote
-    save_checkpoint(old_path, old.config, old.model, old.optimizer, old.optimizer_a,
-                    step=old.step)
+    save_checkpoint(old_path, old)
     assert old_path.read_bytes() == path.read_bytes()
 
 
@@ -505,10 +561,10 @@ def test_checkpoint_config_gives_every_setting(tmp_path):
         blob[key] = {"m": {}, "v": {}, "t": {}}
     path.write_text(json.dumps(blob))
     ck = load_checkpoint(path)
-    for skew in ck.model.skews.values():
+    for skew in ck.skews.values():
         assert (skew.neumann_order, skew.reset_every) == (3, 7)
         assert np.all(skew.d == 1.0)
-    for opt in (ck.optimizer, ck.optimizer_a):
+    for opt in (ck.opt, ck.opt_a):
         assert (opt.kind, opt.lr) == ("sgd", 5.0)
 
 
@@ -522,11 +578,11 @@ def test_checkpoint_keeps_special_values_bit_for_bit(tmp_path):
     path = three_ortho_checkpoint(tmp_path)
     ck = load_checkpoint(path)
     special = np.array([-0.0, 5e-324, 1e308, -1e308])
-    ck.model.readout_w[0, :4] = special
-    save_checkpoint(path, ck.config, ck.model, ck.optimizer, ck.optimizer_a, step=ck.step)
-    back = load_checkpoint(path).model.readout_w
+    ck.w[0, :4] = special
+    save_checkpoint(path, ck)
+    back = load_checkpoint(path).w
     assert back[0, :4].view(np.uint64).tolist() == special.view(np.uint64).tolist()
-    assert np.array_equal(back.view(np.uint64), ck.model.readout_w.view(np.uint64))
+    assert np.array_equal(back.view(np.uint64), ck.w.view(np.uint64))
 
 
 def test_checkpoint_size_is_near_raw_bytes(tmp_path):
@@ -535,10 +591,10 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
     ck = load_checkpoint(path)
     # an orthogonal weight is stored once, as its skew state
     assert set(json.loads(path.read_text())["params"]).isdisjoint(["u_r", "u_u", "u_c"])
-    stored = [arr for name, arr in ck.model.params.named_arrays() if name not in ck.model.skews]
-    stored += [arr for skew in ck.model.skews.values() for arr in (skew.a, skew.a_tilde)]
-    stored += [ck.model.readout_w, ck.model.readout_b]
-    for opt in (ck.optimizer, ck.optimizer_a):
+    stored = [arr for name, arr in ck.params.named_arrays() if name not in ck.skews]
+    stored += [arr for skew in ck.skews.values() for arr in (skew.a, skew.a_tilde)]
+    stored += [ck.w, ck.b]
+    for opt in (ck.opt, ck.opt_a):
         stored += [*opt._m.values(), *opt._v.values()]
     entries = sum(arr.size for arr in stored)
     assert entries > 12 * 64 * 64
@@ -563,9 +619,9 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     ck = load_checkpoint(path)
     # the readout comes after params and skews, so json.dump has written
     # part of the file when the encoder rejects it
-    ck.model.readout_b = {"not": {"an", "array"}}
+    ck.b = {"not": {"an", "array"}}
     with pytest.raises(TypeError):
-        save_checkpoint(path, ck.config, ck.model, ck.optimizer, ck.optimizer_a, step=9)
+        save_checkpoint(path, ck)
     assert path.read_bytes() == before
     assert sorted(os.listdir(path.parent)) == names
 
@@ -686,8 +742,8 @@ def test_checkpoint_skews_recomputed_consistently(tmp_path):
     run_training(cfg, out_dir=str(tmp_path / "out"))
     ck = load_checkpoint(tmp_path / "out" / "checkpoint.json")
     for name in ck.config.model.ortho_set:
-        sk = ck.model.skews[name]
-        assert np.array_equal(getattr(ck.model.params, name), sk.u)
+        sk = ck.skews[name]
+        assert np.array_equal(getattr(ck.params, name), sk.u)
 
 
 def test_ablation_neumann_vs_inverse(tmp_path):
@@ -717,6 +773,8 @@ def test_ablation_falls_back_to_config_output(tmp_path):
     assert (tmp_path / "ab" / "summary.json").exists()
     for label in ("order1", "order2", "order3", "exact"):
         assert (tmp_path / "ab" / label / "metrics.csv").exists()
+        # an arm's config.json reruns into the directory it is sent to
+        assert "output" not in json.loads((tmp_path / "ab" / label / "config.json").read_text())
     assert not (tmp_path / "ab" / "metrics.csv").exists()
 
 
