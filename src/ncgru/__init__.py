@@ -21,7 +21,7 @@ from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
                         init_skew, make_scaling)
 from .tasks import (TaskBatch, adding_baseline_mse, copying_baseline_xent, dump_jsonl,
                     gen_adding, gen_copying, gen_denoise, gen_parenthesis, make_batch,
-                    memoryless_copying_xent, task_dims, unmatched_counts)
+                    memoryless_copying_xent, task_dims)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "make_scaling",
     "TaskBatch", "adding_baseline_mse", "copying_baseline_xent", "dump_jsonl",
     "gen_adding", "gen_copying", "gen_denoise", "gen_parenthesis", "make_batch",
-    "memoryless_copying_xent", "task_dims", "unmatched_counts",
+    "memoryless_copying_xent", "task_dims",
     "__version__",
 ]

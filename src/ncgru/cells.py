@@ -10,13 +10,13 @@ and differ only in the candidate path. The plain GRU uses
 
     c_t = tanh(W_c x_t + U_c (r_t * h_{t-1}) + b_c)
 
-while the NC-GRU drops the additive candidate bias and routes the
-pre-activation through modReLU instead,
+while the NC-GRU moves the candidate bias b_c out of the pre-activation
+and into modReLU instead,
 
-    c_t = modrelu(W_c x_t + U_c (r_t * h_{t-1}), b)
+    c_t = modrelu(W_c x_t + U_c (r_t * h_{t-1}), b_c)
     modrelu(z, b) = sign(z) * max(|z| + b, 0)
 
-whose per-entry bias b plays the role the additive bias played for tanh.
+so b_c plays the role for modReLU that it plays inside the tanh.
 modReLU preserves the norm direction of its input, which is what lets an
 orthogonal U_c carry signal across long horizons without squashing it.
 
@@ -62,8 +62,8 @@ class CellParams:
     """Weights of one recurrent cell.
 
     w_* map inputs (n, m); u_* map the previous hidden state (n, n);
-    b_r and b_u are gate biases. The candidate bias is variant-specific:
-    b_c for gru, modrelu_b for ncgru; the unused one stays None.
+    b_r and b_u are gate biases and b_c the candidate bias, inside the
+    tanh for gru and modReLU's bias for ncgru.
     cell_backward and sequence_bptt return gradients in this container too.
     """
 
@@ -76,8 +76,7 @@ class CellParams:
     u_c: np.ndarray
     b_r: np.ndarray
     b_u: np.ndarray
-    b_c: np.ndarray | None = None
-    modrelu_b: np.ndarray | None = None
+    b_c: np.ndarray
 
     @property
     def n(self) -> int:
@@ -103,21 +102,14 @@ class CellParams:
             variant=variant,
             w_r=glorot(n, m), w_u=glorot(n, m), w_c=glorot(n, m),
             u_r=glorot(n, n), u_u=glorot(n, n), u_c=glorot(n, n),
-            b_r=np.zeros(n), b_u=np.zeros(n),
-            b_c=np.zeros(n) if variant == "gru" else None,
-            modrelu_b=np.zeros(n) if variant == "ncgru" else None,
+            b_r=np.zeros(n), b_u=np.zeros(n), b_c=np.zeros(n),
         )
 
     def named_arrays(self):
         """(name, array) pairs for every trainable tensor, in a fixed order."""
-        pairs = [("w_r", self.w_r), ("w_u", self.w_u), ("w_c", self.w_c),
-                 ("u_r", self.u_r), ("u_u", self.u_u), ("u_c", self.u_c),
-                 ("b_r", self.b_r), ("b_u", self.b_u)]
-        if self.variant == "gru":
-            pairs.append(("b_c", self.b_c))
-        else:
-            pairs.append(("modrelu_b", self.modrelu_b))
-        return pairs
+        return [("w_r", self.w_r), ("w_u", self.w_u), ("w_c", self.w_c),
+                ("u_r", self.u_r), ("u_u", self.u_u), ("u_c", self.u_c),
+                ("b_r", self.b_r), ("b_u", self.b_u), ("b_c", self.b_c)]
 
 
 def _zeros_like(p: CellParams) -> CellParams:
@@ -171,7 +163,7 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
         c = np.tanh(pre_c)
     elif p.variant == "ncgru":
         pre_c = p.w_c @ x + p.u_c @ (r * h)
-        c = modrelu(pre_c, p.modrelu_b[:, None])
+        c = modrelu(pre_c, p.b_c[:, None])
     else:
         raise ContractError(f"unknown variant {p.variant!r}")
     h_t = (1.0 - u) * h + u * c
@@ -184,7 +176,7 @@ def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
     """d c_t / d pre_c, entrywise; for modReLU the 0/1 mask |pre_c| + b > 0."""
     if p.variant == "gru":
         return 1.0 - cache.c_t * cache.c_t
-    return np.abs(cache.pre_c) + p.modrelu_b[:, None] > 0.0
+    return np.abs(cache.pre_c) + p.b_c[:, None] > 0.0
 
 
 def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
@@ -209,10 +201,9 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     g_hprev = g_h * (1.0 - u)
 
     g_pre_c = g_c * _candidate_slope(p, cache)
-    if p.variant == "ncgru":
-        g.modrelu_b += np.sum(g_pre_c * np.sign(cache.pre_c), axis=1)
-    else:
-        g.b_c += np.sum(g_pre_c, axis=1)
+    # modReLU adds b_c to |pre_c|, so its gradient picks up sign(pre_c)
+    g_b_c = g_pre_c * np.sign(cache.pre_c) if p.variant == "ncgru" else g_pre_c
+    g.b_c += np.sum(g_b_c, axis=1)
     rh = r * h
     g.w_c += g_pre_c @ cache.x_t.T
     g.u_c += g_pre_c @ rh.T
@@ -327,6 +318,6 @@ def jacobian_h(p: CellParams, cache: StepCache) -> JacobianResult:
 
     near = False
     if p.variant == "ncgru":
-        margin = np.abs(np.abs(cache.pre_c[:, 0]) + p.modrelu_b)
+        margin = np.abs(np.abs(cache.pre_c[:, 0]) + p.b_c)
         near = bool(np.min(margin) < _KINK_ATOL)
     return JacobianResult(matrix=jac, near_kink=near)

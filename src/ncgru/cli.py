@@ -14,7 +14,8 @@ def _add_train(sub) -> None:
     p = sub.add_parser("train", help="run one training config")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    p.add_argument("--out", default=None, help="override the output directory")
+    p.add_argument("--out", default=None,
+                   help="directory for the run's files (none are written without it)")
 
 
 def _add_ablate(sub) -> None:

@@ -21,8 +21,7 @@ errors: an int is never a bool or a float, a float must be finite):
                     "lr_A": float > 0    (default lr)},
       "train":     {"iterations": int >= 0, "batch_size": int >= 1,
                     "seed": int >= 0, "eval_every": int >= 1 (default 50),
-                    "eval_batch_size": int >= 1 (default batch_size)},
-      "output":    "directory"           (optional; never recorded)
+                    "eval_batch_size": int >= 1 (default batch_size)}
     }
 
 The section dataclasses check these rules on construction, so a config
@@ -62,11 +61,14 @@ that dies mid-write leaves the earlier file whole. Nothing is fsynced:
 this does not guard against a power loss.
 
 A checkpoint is a RunState as one JSON document tagged
-ncgru-checkpoint-v2, in which every float64 array is an ncgru.codec
+ncgru-checkpoint-v3, in which every float64 array is an ncgru.codec
 record, base64 of its little-endian bytes plus its shape, so a load gives
 back the same bits. It holds the config, the only copy of the run's
-settings, and the state training changes; a load builds the RunState
-from the config, restores that state, and train_steps continues it.
+settings, and the state training changes: params, the arrays the
+optimizer steps, and skews, those the skew optimizer steps, each under
+the name it steps it by, next to those optimizers' buffers. A load builds
+the RunState from the config, restores that state, and train_steps
+continues it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ import numpy as np
 from . import tasks
 from .cells import CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward
 from .codec import decode, decode_int, encode, reading
-from .errors import ConfigError, ContractError, NumericError, SingularMatrixError
+from .errors import ConfigError, ContractError, NumericError, ShapeError, SingularMatrixError
 from .optim import _KINDS, Optimizer
 from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
 from .tasks import TaskBatch, make_batch, task_dims
@@ -96,7 +98,7 @@ _BATCH_SEED_BASE = 2
 
 METRICS_HEADER = "step,train_loss,eval_loss,drift,contraction_norm,wall_ms"
 ORTHO_HEADER = "step,weight,contraction_norm,spectral_norm,drift"
-_FORMAT = "ncgru-checkpoint-v2"
+_FORMAT = "ncgru-checkpoint-v3"
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,6 @@ class ExperimentConfig:
     model: ModelSection
     optimizer: OptimizerSection
     train: TrainSection
-    output: str | None = None
 
     @classmethod
     def from_dict(cls, blob: dict) -> "ExperimentConfig":
@@ -269,17 +270,13 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         sections = {"task": TaskSection, "model": ModelSection,
                     "optimizer": OptimizerSection, "train": TrainSection}
-        _check_keys(blob, (*sections, "output"), "config root")
+        _check_keys(blob, tuple(sections), "config root")
         for section in sections:
             if section not in blob:
                 raise ConfigError(f"missing required section {section!r}")
             if not isinstance(blob[section], dict):
                 raise ConfigError(f"section {section!r} must be a JSON object")
-        output = blob.get("output")
-        if output is not None and not isinstance(output, str):
-            raise ConfigError("output must be a directory path string")
-        return cls(**{name: kind.from_dict(blob[name]) for name, kind in sections.items()},
-                   output=output)
+        return cls(**{name: kind.from_dict(blob[name]) for name, kind in sections.items()})
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -291,7 +288,7 @@ class ExperimentConfig:
         return cls.from_dict(blob)
 
     def to_dict(self) -> dict:
-        """What config.json and checkpoints record: output, where a run writes, is left out."""
+        """What config.json and checkpoints record; from_dict reads it back."""
         return {"task": self.task.to_dict(), "model": self.model.to_dict(),
                 "optimizer": self.optimizer.to_dict(), "train": self.train.to_dict()}
 
@@ -302,7 +299,7 @@ class ExperimentConfig:
 
 class LinearReadoutMse:
     """y = W h_T + b on the final (n, B) state; loss is the squared error
-    summed over output entries and averaged over the batch. targets has
+    summed over the entries of y and averaged over the batch. targets has
     y's shape (out, B), or is (B,) when out is 1; else ContractError."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray):
@@ -371,18 +368,26 @@ class SoftmaxReadoutXent:
 @dataclass
 class RunState:
     """A run between iterations, as a checkpoint stores it: config, cell
-    weights (an orthogonal one is its skew's u), skews, readout y = w h + b,
-    the two optimizers (opt_a, of the skews, is None without ortho_set)
-    and the number of iterations done."""
+    weights (an orthogonal one is its skew's u), skews, the readout
+    y = readout_w h + readout_b, the two optimizers and the number of
+    iterations done. opt steps the arrays of trained(); opt_a steps each
+    skew's a under the skew's name and holds nothing without ortho_set."""
 
     config: ExperimentConfig
     params: CellParams
     skews: dict
-    w: np.ndarray
-    b: np.ndarray
+    readout_w: np.ndarray
+    readout_b: np.ndarray
     opt: Optimizer
-    opt_a: Optimizer | None
+    opt_a: Optimizer
     step: int = 0
+
+    def trained(self) -> dict:
+        """name -> array for every array opt steps: the cell weights other
+        than the orthogonal ones, then the readout."""
+        return {**{name: arr for name, arr in self.params.named_arrays()
+                   if name not in self.skews},
+                "readout_w": self.readout_w, "readout_b": self.readout_b}
 
 
 def build_model(cfg: ExperimentConfig) -> RunState:
@@ -401,16 +406,16 @@ def build_model(cfg: ExperimentConfig) -> RunState:
     rng = np.random.default_rng(seed + _READOUT_SEED)
     lim = np.sqrt(6.0 / (out_dim + m.hidden))
     sec = cfg.optimizer
-    opt_a = Optimizer(sec.kind, sec.lr if sec.lr_a is None else sec.lr_a) if skews else None
     return RunState(config=cfg, params=params, skews=skews,
-                    w=rng.uniform(-lim, lim, (out_dim, m.hidden)), b=np.zeros(out_dim),
-                    opt=Optimizer(sec.kind, sec.lr), opt_a=opt_a)
+                    readout_w=rng.uniform(-lim, lim, (out_dim, m.hidden)),
+                    readout_b=np.zeros(out_dim), opt=Optimizer(sec.kind, sec.lr),
+                    opt_a=Optimizer(sec.kind, sec.lr if sec.lr_a is None else sec.lr_a))
 
 
 def make_loss(state: RunState, batch: TaskBatch):
     if batch.loss_kind == "mse":
-        return LinearReadoutMse(state.w, state.b, batch.targets)
-    return SoftmaxReadoutXent(state.w, state.b, batch.targets)
+        return LinearReadoutMse(state.readout_w, state.readout_b, batch.targets)
+    return SoftmaxReadoutXent(state.readout_w, state.readout_b, batch.targets)
 
 
 def evaluate(state: RunState, batch: TaskBatch) -> float:
@@ -475,12 +480,10 @@ def train_steps(state: RunState):
             if not np.isfinite(result.loss):
                 raise NumericError(f"non-finite training loss at iteration {k}")
 
-            state.w -= state.opt.step("readout_w", loss_obj.grad_w)
-            state.b -= state.opt.step("readout_b", loss_obj.grad_b)
-            for name, arr in params.named_arrays():
-                if name in ortho:
-                    continue
-                arr -= state.opt.step(name, getattr(result.grads, name))
+            grads = dict(result.grads.named_arrays(),
+                         readout_w=loss_obj.grad_w, readout_b=loss_obj.grad_b)
+            for name, arr in state.trained().items():
+                arr -= state.opt.step(name, grads[name])
 
             is_eval = k % cfg.train.eval_every == 0 or k == cfg.train.iterations
             drift = 0.0
@@ -489,7 +492,7 @@ def train_steps(state: RunState):
             for name in ortho:
                 skew = state.skews[name]
                 grad_a = skew.grad_pullback(getattr(result.grads, name))
-                delta = state.opt_a.step("A_" + name, grad_a)
+                delta = state.opt_a.step(name, grad_a)
                 if cfg.model.exact_inverse_mode:
                     diag = skew.exact_step(delta, sample=is_eval)
                 else:
@@ -513,13 +516,11 @@ def train_steps(state: RunState):
 
 def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                  seed: int | None = None) -> RunResult:
-    """Train per cfg through train_steps and write the artifacts. out_dir
-    and seed override the config when given; with no output directory
-    anywhere, the run stays in memory and writes nothing."""
+    """Train per cfg through train_steps and write the artifacts into
+    out_dir; without one the run stays in memory and writes nothing. seed
+    overrides train.seed when given."""
     if seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=seed))
-    if out_dir is None:
-        out_dir = cfg.output
     state = build_model(cfg)
     steps = train_steps(state)
     metrics: list[MetricRow] = []
@@ -619,7 +620,9 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 def save_checkpoint(path, state: RunState) -> None:
     """JSON snapshot of state: its config and everything training changes,
-    tagged ncgru-checkpoint-v2. json.dump streams it and encodes each
+    tagged ncgru-checkpoint-v3. params is state.trained() and optimizer
+    its buffers; skews holds each skew's state and optimizer_A their
+    buffers, under the same names. json.dump streams it and encodes each
     float64 array as a codec record only when it reaches that array, so
     the bytes are stored exactly and load -> save reproduces the file byte
     for byte. An orthogonal weight is stored once, as its skew state;
@@ -628,12 +631,10 @@ def save_checkpoint(path, state: RunState) -> None:
         "format": _FORMAT,
         "step": state.step,
         "config": state.config.to_dict(),
-        "params": {name: arr for name, arr in state.params.named_arrays()
-                   if name not in state.skews},
+        "params": state.trained(),
         "skews": {name: skew.to_dict() for name, skew in state.skews.items()},
-        "readout": {"w": state.w, "b": state.b},
         "optimizer": state.opt.to_dict(),
-        "optimizer_A": state.opt_a.to_dict() if state.opt_a is not None else None,
+        "optimizer_A": state.opt_a.to_dict(),
     }
     _write_json(path, blob, indent=1, default=encode)
 
@@ -643,10 +644,11 @@ def load_checkpoint(path) -> RunState:
     if the run had not stopped: build_model of the stored config, the only
     copy of the settings, with the trained state restored onto it and
     checked like fresh state; other keys are not read. Raises ContractError
-    when the file is not such a checkpoint, misses a section, holds a
+    when the file is not an ncgru-checkpoint-v3, misses a section, holds a
     malformed entry, a config that fails validation or a negative step,
     when its arrays or optimizer buffers are not those of the run or have
-    another shape, or when a counter disagrees with the step."""
+    another shape, when a state breaks the rules fresh state keeps, or
+    when a counter disagrees with the step."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -661,30 +663,24 @@ def load_checkpoint(path) -> RunState:
             raise ContractError(f"checkpoint step must be >= 0, got {step}")
         state = build_model(cfg)
         state.step = step
-        # an orthogonal weight is stored only as its skew state
-        trained = {name: arr for name, arr in state.params.named_arrays()
-                   if name not in state.skews}
+        trained = state.trained()
         if set(blob["params"]) != set(trained):
             raise ContractError(f"checkpoint params {sorted(blob['params'])} are not "
                                 f"the run's {sorted(trained)}")
-        for name, like in trained.items():
-            setattr(state.params, name, decode(blob["params"][name], f"params.{name}", like))
+        for name, arr in trained.items():
+            arr[...] = decode(blob["params"][name], f"params.{name}", arr)
         if set(blob["skews"]) != set(state.skews):
             raise ContractError(f"checkpoint skews {sorted(blob['skews'])} do not match "
                                 f"the config's ortho_set {list(cfg.model.ortho_set)}")
-        for name, skew in state.skews.items():
-            state.skews[name] = skew = skew.restore(blob["skews"][name], step)
-            setattr(state.params, name, skew.u)
-        state.w = decode(blob["readout"]["w"], "readout.w", state.w)
-        state.b = decode(blob["readout"]["b"], "readout.b", state.b)
-        if (blob["optimizer_A"] is None) != (state.opt_a is None):
-            raise ContractError(f"checkpoint optimizer_A must be null exactly when the "
-                                f"config's ortho_set {list(cfg.model.ortho_set)} is empty")
-        trained.update(readout_w=state.w, readout_b=state.b)
-        state.opt = state.opt.restore(blob["optimizer"], trained, step)
-        if state.opt_a is not None:
-            skew_a = {"A_" + name: skew.a for name, skew in state.skews.items()}
-            state.opt_a = state.opt_a.restore(blob["optimizer_A"], skew_a, step)
+        try:   # the restores raise ShapeError for state that fresh state never is
+            for name, skew in state.skews.items():
+                state.skews[name] = skew = skew.restore(blob["skews"][name], step)
+                setattr(state.params, name, skew.u)
+            state.opt = state.opt.restore(blob["optimizer"], trained, step)
+            state.opt_a = state.opt_a.restore(
+                blob["optimizer_A"], {name: skew.a for name, skew in state.skews.items()}, step)
+        except ShapeError as err:
+            raise ContractError(f"checkpoint {path} holds a malformed state: {err}") from err
         return state
 
 
@@ -692,7 +688,7 @@ def load_checkpoint(path) -> RunState:
 # ablations
 
 
-ABLATION_MODES = ("neumann-vs-inverse", "ortho-placement", "norm-monitor")
+ABLATION_MODES = ("neumann-vs-inverse", "ortho-placement")
 
 
 def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
@@ -701,31 +697,23 @@ def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
 
     neumann-vs-inverse: Neumann orders 1, 2, 3 plus the exact-inverse arm.
     ortho-placement: ortho_set in {U_c}, {U_r, U_c}, {U_r, U_u, U_c}.
-    norm-monitor: the config as given, one arm; pair with the metrics CSV
-    to check every contraction_norm stays below 1.
 
-    out_dir falls back to the config's output directory; when either is set,
-    arms write under per-label subdirectories next to a summary.json.
+    With out_dir, arms write under per-label subdirectories next to a
+    summary.json; without it, nothing is written.
     """
     if mode not in ABLATION_MODES:
         raise ContractError(f"unknown ablation mode {mode!r}, expected one of {ABLATION_MODES}")
-    if out_dir is None:
-        # Without a fallback the arms would each inherit cfg.output and
-        # overwrite one another's artifacts.
-        out_dir = cfg.output
     if mode == "neumann-vs-inverse":
         arms = [(f"order{p}", replace(cfg, model=replace(cfg.model, neumann_order=p,
                                                          exact_inverse_mode=False)))
                 for p in (1, 2, 3)]
         arms.append(("exact", replace(cfg, model=replace(cfg.model, exact_inverse_mode=True))))
-    elif mode == "ortho-placement":
+    else:
         # a GRU config fails here: ModelSection rejects an ortho_set on GRU
         placements = [("uc", ("u_c",)), ("ur_uc", ("u_r", "u_c")),
                       ("ur_uu_uc", ("u_r", "u_u", "u_c"))]
         arms = [(label, replace(cfg, model=replace(cfg.model, ortho_set=ortho)))
                 for label, ortho in placements]
-    else:
-        arms = [("monitor", cfg)]
 
     results = []
     for label, arm_cfg in arms:
@@ -798,12 +786,12 @@ def _random_cell(variant: str, seed: int, n: int = 4, m: int = 3, batch: int = 2
         rng = np.random.default_rng(seed + 7919 * attempt)
         p = CellParams.init(variant, n, m, int(rng.integers(0, 2**31)))
         if variant == "ncgru":
-            p.modrelu_b = rng.uniform(-0.5, 0.5, n)
+            p.b_c = rng.uniform(-0.5, 0.5, n)
         x = rng.standard_normal((m, batch))
         h = rng.uniform(-1.0, 1.0, (n, batch))
         _, cache = cell_forward(p, x, h)
         if variant == "ncgru":
-            margin = np.min(np.abs(np.abs(cache.pre_c) + p.modrelu_b[:, None]))
+            margin = np.min(np.abs(np.abs(cache.pre_c) + p.b_c[:, None]))
             if margin < kink_margin:
                 continue
         return p, x, h, rng.standard_normal((out, n)), rng.standard_normal(out), rng

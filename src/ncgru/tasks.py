@@ -127,37 +127,15 @@ def gen_copying(T: int, batch: int, seed: int) -> TaskBatch:
                      targets=targets, loss_kind="xent")
 
 
-def unmatched_counts(symbols: np.ndarray) -> np.ndarray:
-    """Per-step count of unmatched opens in a bracket stream, capped at
-    PARENTHESIS_CAP.
-
-    Symbol ids follow the parenthesis encoding: 2k opens pair k, 2k+1
-    closes it, 2 * PARENTHESIS_PAIRS is noise. Closes of types with nothing
-    open are ignored (the generator never emits them, but the counter is
-    total).
-    """
-    symbols = np.asarray(symbols)
-    per_type = np.zeros(PARENTHESIS_PAIRS, dtype=np.int64)
-    out = np.zeros(symbols.shape[0], dtype=np.int64)
-    for t, sym in enumerate(symbols):
-        if sym < 2 * PARENTHESIS_PAIRS:
-            k, closing = divmod(int(sym), 2)
-            if closing:
-                if per_type[k] > 0:
-                    per_type[k] -= 1
-            else:
-                per_type[k] += 1
-        out[t] = min(per_type.sum(), PARENTHESIS_CAP)
-    return out
-
-
 def gen_parenthesis(T: int, batch: int, seed: int) -> TaskBatch:
     _check_request("parenthesis", T, batch, seed)
     rng = np.random.default_rng(seed)
     noise = 2 * PARENTHESIS_PAIRS
     symbols = np.zeros((batch, T), dtype=np.int64)
+    targets = np.zeros((batch, T), dtype=np.int64)
     for b in range(batch):
         open_now = np.zeros(PARENTHESIS_PAIRS, dtype=np.int64)
+        depth = 0   # open_now.sum(), the unmatched opens so far
         for t in range(T):
             action = rng.integers(0, 3)
             if action == 0:
@@ -165,6 +143,7 @@ def gen_parenthesis(T: int, batch: int, seed: int) -> TaskBatch:
             elif action == 1:
                 k = int(rng.integers(0, PARENTHESIS_PAIRS))
                 open_now[k] += 1
+                depth += 1
                 sym = 2 * k
             else:
                 avail = np.flatnonzero(open_now)
@@ -173,9 +152,10 @@ def gen_parenthesis(T: int, batch: int, seed: int) -> TaskBatch:
                 else:
                     k = int(avail[rng.integers(0, avail.size)])
                     open_now[k] -= 1
+                    depth -= 1
                     sym = 2 * k + 1
             symbols[b, t] = sym
-    targets = np.stack([unmatched_counts(symbols[b]) for b in range(batch)])
+            targets[b, t] = min(depth, PARENTHESIS_CAP)
     inputs = _one_hot(symbols, noise + 1)
     return TaskBatch(task="parenthesis", T=T, seed=seed, inputs=inputs,
                      targets=targets, loss_kind="xent")

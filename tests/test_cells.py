@@ -35,7 +35,7 @@ def oracle_step(p, x, h):
         c = np.tanh(p.w_c @ x + p.u_c @ (r * h) + p.b_c)
     else:
         z = p.w_c @ x + p.u_c @ (r * h)
-        c = np.sign(z) * np.maximum(np.abs(z) + p.modrelu_b, 0.0)
+        c = np.sign(z) * np.maximum(np.abs(z) + p.b_c, 0.0)
     return (1.0 - u) * h + u * c
 
 
@@ -98,7 +98,7 @@ def test_ncgru_zero_everything():
 
 def test_ncgru_negative_bias_clips_candidate():
     p = CellParams.init("ncgru", 4, 3, seed=4)
-    p.modrelu_b[:] = -100.0
+    p.b_c[:] = -100.0
     rng = np.random.default_rng(5)
     h, cache = cell_forward(p, rng.normal(size=(3, 1)), rng.normal(size=(4, 1)))
     assert np.all(cache.c_t == 0.0)
@@ -267,7 +267,7 @@ def test_backward_matches_finite_differences(variant):
     p = CellParams.init(variant, 4, 3, seed=15)
     if variant == "ncgru":
         # Keep the candidate away from the modrelu kink.
-        p.modrelu_b[:] = 0.5
+        p.b_c[:] = 0.5
     x = rng.normal(size=3)
     h_prev = rng.normal(size=4)
     g_out = rng.normal(size=4)
@@ -354,7 +354,7 @@ def test_bptt_matches_finite_differences(variant):
     rng = np.random.default_rng(21)
     p = CellParams.init(variant, 4, 3, seed=22)
     if variant == "ncgru":
-        p.modrelu_b[:] = 0.5
+        p.b_c[:] = 0.5
     xs = rng.normal(size=(5, 3, 1))
     target = rng.normal(size=(4, 1))
     loss = LinearReadoutMse(np.eye(4), np.zeros(4), target)
@@ -392,7 +392,7 @@ def test_jacobian_matches_finite_differences(variant):
     rng = np.random.default_rng(24)
     p = CellParams.init(variant, 5, 3, seed=25)
     if variant == "ncgru":
-        p.modrelu_b[:] = 0.5
+        p.b_c[:] = 0.5
     x = rng.normal(size=3)
     h_prev = rng.normal(size=5)
     _, cache = cell_forward(p, x[:, None], h_prev[:, None])
@@ -413,9 +413,9 @@ def test_jacobian_matches_finite_differences(variant):
 
 def test_jacobian_near_kink_flag():
     p = CellParams.init("ncgru", 3, 2, seed=26)
-    p.modrelu_b[:] = 0.0
+    p.b_c[:] = 0.0
     for name, arr in p.named_arrays():
-        if name != "modrelu_b":
+        if name != "b_c":
             arr[:] = 0.0
     # pre_c = 0 and b = 0 sits exactly on the kink.
     _, cache = cell_forward(p, np.zeros((2, 1)), np.zeros((3, 1)))

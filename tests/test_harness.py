@@ -461,7 +461,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, monkeypatch, edits):
     ck = load_checkpoint(path)
     assert ck.step == 4
     assert ck.config == run.config
-    assert (ck.opt_a is None) == (cfg.model.variant == "gru")
+    assert set(ck.opt_a._m) == set(ck.skews)   # none on GRU
     # every weight, u_r, u_u and u_c included, is the run's bit for bit
     assert {name: _bits(arr) for name, arr in ck.params.named_arrays()} == \
         {name: _bits(arr) for name, arr in saved.items()}
@@ -496,28 +496,31 @@ def test_continuing_a_checkpoint_is_bit_exact(tmp_path, edits, k):
     assert path.read_bytes() == (tmp_path / "whole" / "checkpoint.json").read_bytes()
 
 
-def test_recorded_config_names_no_output(tmp_path):
-    """config.json and the checkpoint record the settings, not the directory
-    the run wrote to: a rerun of config.json writes where it is sent, and a
-    config and seed give the same checkpoint in any directory."""
+def test_config_output_key_rejected(tmp_path):
+    """--out is the one place a run's directory is named: a config naming
+    one is an unknown key, exit 2, and nothing is written. config.json
+    reruns to the same artifacts wherever it is sent."""
     blob = make_cfg()
     blob["output"] = str(tmp_path / "a")
+    with pytest.raises(ConfigError, match="unknown key.*output"):
+        ExperimentConfig.from_dict(blob)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(blob))
     b, c = tmp_path / "b", tmp_path / "c"
+    assert main(["train", "--config", str(cfg_path), "--out", str(b)]) == 2
+    assert main(["ablate", "--mode", "neumann-vs-inverse", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "a").exists() and not b.exists()
+    del blob["output"]
+    cfg_path.write_text(json.dumps(blob))
     assert main(["train", "--config", str(cfg_path), "--out", str(b)]) == 0
-    assert "output" not in json.loads((b / "config.json").read_text())
-    assert "output" not in json.loads((b / "checkpoint.json").read_text())["config"]
-    assert main(["train", "--config", str(b / "config.json")]) == 0   # in memory
     assert main(["train", "--config", str(b / "config.json"), "--out", str(c)]) == 0
-    assert not (tmp_path / "a").exists()
     for name in ("config.json", "checkpoint.json"):
         assert (b / name).read_bytes() == (c / name).read_bytes()
 
 
 def _parent_layout(blob):
-    """blob with the copies of the settings that checkpoints held before
-    the config became their only copy, each set against BASE_CFG's."""
+    """blob with copies of the settings in its skew and optimizer states,
+    each set against BASE_CFG's, which a load does not read."""
     old = copy.deepcopy(blob)
     for skew in old["skews"].values():
         skew.update(d=encode(np.ones(8)), neumann_order=3, reset_every=7, step=99)
@@ -555,8 +558,9 @@ def test_checkpoint_config_gives_every_setting(tmp_path):
     blob["config"]["optimizer"] = {"kind": "sgd", "lr": 5.0}
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(blob))
-    with pytest.raises(ShapeError, match="sgd state"):  # Adam's buffers under sgd
+    with pytest.raises(ContractError, match="sgd state") as info:  # Adam's buffers under sgd
         load_checkpoint(path)
+    assert isinstance(info.value.__cause__, ShapeError)
     for key in ("optimizer", "optimizer_A"):
         blob[key] = {"m": {}, "v": {}, "t": {}}
     path.write_text(json.dumps(blob))
@@ -578,11 +582,11 @@ def test_checkpoint_keeps_special_values_bit_for_bit(tmp_path):
     path = three_ortho_checkpoint(tmp_path)
     ck = load_checkpoint(path)
     special = np.array([-0.0, 5e-324, 1e308, -1e308])
-    ck.w[0, :4] = special
+    ck.readout_w[0, :4] = special
     save_checkpoint(path, ck)
-    back = load_checkpoint(path).w
+    back = load_checkpoint(path).readout_w
     assert back[0, :4].view(np.uint64).tolist() == special.view(np.uint64).tolist()
-    assert np.array_equal(back.view(np.uint64), ck.w.view(np.uint64))
+    assert np.array_equal(back.view(np.uint64), ck.readout_w.view(np.uint64))
 
 
 def test_checkpoint_size_is_near_raw_bytes(tmp_path):
@@ -591,9 +595,8 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
     ck = load_checkpoint(path)
     # an orthogonal weight is stored once, as its skew state
     assert set(json.loads(path.read_text())["params"]).isdisjoint(["u_r", "u_u", "u_c"])
-    stored = [arr for name, arr in ck.params.named_arrays() if name not in ck.skews]
+    stored = list(ck.trained().values())
     stored += [arr for skew in ck.skews.values() for arr in (skew.a, skew.a_tilde)]
-    stored += [ck.w, ck.b]
     for opt in (ck.opt, ck.opt_a):
         stored += [*opt._m.values(), *opt._v.values()]
     entries = sum(arr.size for arr in stored)
@@ -602,14 +605,39 @@ def test_checkpoint_size_is_near_raw_bytes(tmp_path):
 
 
 def test_v1_checkpoint_is_rejected(tmp_path):
-    # v1 files held every array as nested decimal lists
+    # v1 files held every array as nested decimal lists, v2 files the
+    # readout in a section of its own and the skew buffers under A_ names
     path = three_ortho_checkpoint(tmp_path)
     blob = json.loads(path.read_text())
-    assert blob["format"] == "ncgru-checkpoint-v2"
-    blob["format"] = "ncgru-checkpoint-v1"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ContractError):
-        load_checkpoint(path)
+    assert blob["format"] == "ncgru-checkpoint-v3"
+    for old in ("ncgru-checkpoint-v1", "ncgru-checkpoint-v2"):
+        blob["format"] = old
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ContractError, match="not an ncgru checkpoint"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edits", [
+    {"model.variant": "GRU"},
+    {},
+    {"model.exact_inverse_mode": True},
+], ids=["gru", "ncgru", "exact"])
+def test_checkpoint_sections_are_what_each_optimizer_steps(tmp_path, edits):
+    """params holds the arrays the optimizer steps and skews those the
+    skew optimizer steps, each under the name its buffers carry."""
+    cfg = ExperimentConfig.from_dict(make_cfg(**edits))
+    run_training(cfg, out_dir=str(tmp_path / "out"))
+    blob = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    for arrays, opt in (("params", "optimizer"), ("skews", "optimizer_A")):
+        assert set(blob[opt]) == {"m", "v", "t"}
+        for buffers in blob[opt].values():
+            assert set(buffers) == set(blob[arrays])
+    assert list(blob["params"])[-3:] == ["b_c", "readout_w", "readout_b"]
+    if cfg.model.variant == "gru":
+        assert blob["skews"] == {}
+        assert blob["optimizer_A"] == {"m": {}, "v": {}, "t": {}}
+    else:
+        assert set(blob["skews"]) == {"u_r", "u_c"}
 
 
 def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
@@ -617,9 +645,9 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
     before = path.read_bytes()
     names = sorted(os.listdir(path.parent))
     ck = load_checkpoint(path)
-    # the readout comes after params and skews, so json.dump has written
-    # part of the file when the encoder rejects it
-    ck.b = {"not": {"an", "array"}}
+    # the readout comes last in params, so json.dump has written part of
+    # the file when the encoder rejects it
+    ck.readout_b = {"not": {"an", "array"}}
     with pytest.raises(TypeError):
         save_checkpoint(path, ck)
     assert path.read_bytes() == before
@@ -628,10 +656,10 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
 
 @pytest.mark.parametrize("edit", [
     lambda b: b["params"].update(w_r=np.array([[0.1, 0.2]])),  # shape (1, 2), not (8, 2)
-    lambda b: b["readout"].update(w=np.zeros((1, 5))),         # (1, 5), not (1, 8)
-    lambda b: b["readout"].update(b=np.zeros((1, 5))),         # (1, 5), not (1,)
+    lambda b: b["params"].update(readout_w=np.zeros((1, 5))),  # (1, 5), not (1, 8)
+    lambda b: b["params"].update(readout_b=np.zeros((1, 5))),  # (1, 5), not (1,)
     lambda b: b["params"].update(bogus=np.ones(1)),            # no such parameter
-    lambda b: b["params"].update(b_c=np.zeros(8)),             # a GRU bias on NC-GRU
+    lambda b: b["params"].update(modrelu_b=np.zeros(8)),       # b_c's name before v3
     lambda b: b["params"].update(u_r=np.eye(8)),               # stored as its skew state
     lambda b: b["skews"].pop("u_r"),                         # ortho_set names u_r
     lambda b: b["skews"].update(u_u=b["skews"]["u_r"]),      # and not u_u
@@ -659,7 +687,7 @@ def test_load_checkpoint_rejects_mismatched_arrays(tmp_path, edit):
 @pytest.mark.parametrize("edit", [
     lambda b: [opt["t"].update({name: 1000 for name in opt["t"]})
                for opt in (b["optimizer"], b["optimizer_A"])],
-    lambda b: b["optimizer_A"]["t"].update(A_u_c=3),
+    lambda b: b["optimizer_A"]["t"].update(u_c=3),
     lambda b: b.update(step=5),
     lambda b: [skew.update(steps_since_reset=999) for skew in b["skews"].values()],
     lambda b: b["skews"]["u_r"].update(steps_since_reset=3),   # <= step, not < reset_every
@@ -679,7 +707,7 @@ def test_load_checkpoint_rejects_counters_off_step(tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b.pop("readout"),
+    lambda b: [b["params"].pop(name) for name in ("readout_w", "readout_b")],
     lambda b: b.pop("optimizer_A"),
     lambda b: b.pop("skews"),
     lambda b: b.pop("format"),
@@ -688,14 +716,20 @@ def test_load_checkpoint_rejects_counters_off_step(tmp_path, edit):
     lambda b: b["params"]["w_r"].update(f8=encode(np.zeros(15))["f8"]),  # w_r is 8x2
     lambda b: b["params"]["w_r"].update(shape=[8, 2.0]),
     lambda b: b["params"]["w_r"].update(shape=[-8, -2]),
-    lambda b: b["readout"].update(w={"f8": "", "shape": [0], "dtype": "f4"}),
+    lambda b: b["params"].update(readout_w={"f8": "", "shape": [0], "dtype": "f4"}),
     lambda b: b.update(step=3.0),
     lambda b: b["skews"]["u_r"].update(steps_since_reset=1.5),
     lambda b: b.update(optimizer_A=None),   # ortho_set is U_r, U_c
     lambda b: b.update(step=-3),
+    # states that break the rules fresh state keeps
+    lambda b: b["optimizer"]["t"].update(bogus=4),             # a t without m and v
+    lambda b: b["optimizer"]["v"].update(w_r=encode(np.full((8, 2), -1.0))),
+    lambda b: b["skews"]["u_r"].update(a=encode(np.eye(8))),  # not skew
+    lambda b: b["skews"]["u_r"].update(a_tilde=encode(np.full((8, 8), np.nan))),
 ], ids=["no_readout", "no_optimizer_A", "no_skews", "no_format", "skew_a_string",
         "bad_base64", "byte_length", "float_shape", "negative_shape", "extra_key",
-        "step_float", "skew_counter_float", "null_optimizer_A", "step_negative"])
+        "step_float", "skew_counter_float", "null_optimizer_A", "step_negative",
+        "adam_extra_t", "negative_v", "non_skew_a", "nan_a_tilde"])
 def test_load_checkpoint_rejects_malformed_file(tmp_path, edit):
     cfg = ExperimentConfig.from_dict(copy.deepcopy(BASE_CFG))
     run_training(cfg, out_dir=str(tmp_path / "out"))
@@ -709,7 +743,7 @@ def test_load_checkpoint_rejects_malformed_file(tmp_path, edit):
 
 def test_load_checkpoint_rejects_non_json(tmp_path):
     path = tmp_path / "checkpoint.json"
-    path.write_text('{"format": "ncgru-checkpoint-v2", ')
+    path.write_text('{"format": "ncgru-checkpoint-v3", ')
     with pytest.raises(ContractError):
         load_checkpoint(path)
     path.write_text("[1, 2]")
@@ -763,21 +797,6 @@ def test_ablation_neumann_vs_inverse(tmp_path):
     assert (tmp_path / "ab" / "order2" / "metrics.csv").exists()
 
 
-def test_ablation_falls_back_to_config_output(tmp_path):
-    # Without an explicit out_dir the arms must nest under the config's
-    # output directory instead of overwriting one another inside it.
-    blob = make_cfg(**{"train.iterations": 2})
-    blob["output"] = str(tmp_path / "ab")
-    cfg = ExperimentConfig.from_dict(blob)
-    run_ablation("neumann-vs-inverse", cfg)
-    assert (tmp_path / "ab" / "summary.json").exists()
-    for label in ("order1", "order2", "order3", "exact"):
-        assert (tmp_path / "ab" / label / "metrics.csv").exists()
-        # an arm's config.json reruns into the directory it is sent to
-        assert "output" not in json.loads((tmp_path / "ab" / label / "config.json").read_text())
-    assert not (tmp_path / "ab" / "metrics.csv").exists()
-
-
 def test_ablation_ortho_placement():
     cfg = ExperimentConfig.from_dict(make_cfg(**{"train.iterations": 2}))
     results = run_ablation("ortho-placement", cfg)
@@ -789,14 +808,11 @@ def test_ablation_ortho_placement():
         run_ablation("ortho-placement", gru)
 
 
-def test_ablation_norm_monitor():
+def test_ablation_rejects_unknown_mode():
     cfg = ExperimentConfig.from_dict(make_cfg(**{"train.iterations": 2}))
-    results = run_ablation("norm-monitor", cfg)
-    assert [lab for lab, _ in results] == ["monitor"]
-    run = results[0][1]
-    assert all(row.contraction_norm < 1.0 for row in run.metrics)
-    with pytest.raises(ContractError):
-        run_ablation("nonsense", cfg)
+    for mode in ("nonsense", "norm-monitor"):
+        with pytest.raises(ContractError, match="unknown ablation mode"):
+            run_ablation(mode, cfg)
 
 
 def test_gradcheck_scopes_pass():
@@ -909,7 +925,7 @@ def test_cli_ablate(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(blob))
     out = tmp_path / "ab"
-    rc = main(["ablate", "--mode", "norm-monitor", "--config", str(cfg_path),
+    rc = main(["ablate", "--mode", "ortho-placement", "--config", str(cfg_path),
                "--out", str(out)])
     assert rc == 0
     assert (out / "summary.json").exists()

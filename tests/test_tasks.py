@@ -18,7 +18,6 @@ from ncgru.tasks import (
     make_batch,
     memoryless_copying_xent,
     task_dims,
-    unmatched_counts,
 )
 
 
@@ -98,25 +97,6 @@ def test_memoryless_rejects_other_tasks():
         memoryless_copying_xent(batch)
 
 
-def test_unmatched_counts_hand_case():
-    # open0 open0 open1 close0 noise -> counts 1 2 3 2 2.
-    symbols = np.array([0, 0, 2, 1, 20])
-    got = unmatched_counts(symbols)
-    assert np.array_equal(got, [1, 2, 3, 2, 2])
-
-
-def test_unmatched_counts_ignores_spurious_close():
-    symbols = np.array([1, 0])
-    assert np.array_equal(unmatched_counts(symbols), [0, 1])
-
-
-def test_unmatched_counts_cap():
-    symbols = np.zeros(12, dtype=np.int64)
-    got = unmatched_counts(symbols)
-    assert got[-1] == 10
-    assert np.max(got) == 10
-
-
 def test_parenthesis_structure_and_oracle():
     batch = gen_parenthesis(T=40, batch=10, seed=5)
     assert batch.inputs.shape == (10, 40, 21)
@@ -143,10 +123,22 @@ def test_parenthesis_structure_and_oracle():
             assert batch.targets[b, t] == min(depth, 10)
 
 
+def test_parenthesis_targets_cap_at_ten():
+    # long streams open more than 10 brackets at once; the class stays 10
+    batch = gen_parenthesis(T=400, batch=4, seed=3)
+    symbols = np.argmax(batch.inputs, axis=2)
+    is_bracket = symbols < 20
+    depth = np.cumsum(is_bracket * np.where(symbols % 2 == 0, 1, -1), axis=1)
+    assert np.any(depth > 10)
+    assert np.array_equal(batch.targets, np.minimum(depth, 10))
+
+
 def test_parenthesis_noise_only_targets_zero():
-    # Seeds exist where short sequences open nothing; force one by hand.
-    symbols = np.full(6, 20, dtype=np.int64)
-    assert np.array_equal(unmatched_counts(symbols), np.zeros(6, dtype=np.int64))
+    # a stream that has only seen noise has nothing open
+    batch = gen_parenthesis(T=6, batch=64, seed=0)
+    quiet = np.cumsum(np.argmax(batch.inputs, axis=2) != 20, axis=1) == 0
+    assert quiet[:, -1].any()   # some streams are noise throughout
+    assert np.all(batch.targets[quiet] == 0)
 
 
 def test_denoise_structure_and_oracle():
