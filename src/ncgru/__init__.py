@@ -9,7 +9,8 @@ generators (tasks), and the experiment harness plus CLI (harness, cli).
 
 from .bounds import BoundReport, compute_bound, saturation_sweep
 from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forward,
-                    jacobian_h, modrelu, sequence_bptt, sequence_forward)
+                    jacobian_h, modrelu, sequence_bptt, sequence_forward, sequence_states,
+                    step_store)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
 from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState, build_model,
@@ -29,7 +30,7 @@ __all__ = [
     "BoundReport", "compute_bound", "saturation_sweep",
     "BpttResult", "CellParams", "LinearReadoutMse", "StepCache",
     "cell_backward", "cell_forward", "jacobian_h", "modrelu",
-    "sequence_bptt", "sequence_forward",
+    "sequence_bptt", "sequence_forward", "sequence_states", "step_store",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
     "NumericError", "ShapeError", "SingularMatrixError",
     "ExperimentConfig", "RunResult", "RunState", "build_model", "load_checkpoint",

@@ -26,6 +26,19 @@ ShapeError. h_0 is always the zero state. All activations of a step are
 cached on the way forward so the backward pass is a pure function of
 (params, cache, incoming gradient).
 
+Where activations live: cell_forward writes a step's seven (n, B) rows
+(pre_r, pre_u, pre_c, r, u, c, h_t) into a slot, a (7, n, B) array, and
+its StepCache holds views of them. A step store, step_store(n, T, B), is
+T slots side by side, store[:, t] being step t's. sequence_bptt writes
+step t into store[:, t], so a caller that passes the same store to every
+call (the training loop does) allocates its caches once per run;
+sequence_states runs through a two-slot store instead, step t in slot
+t % 2, so a forward pass with no backward holds O(n B) however long the
+sequence. A view stays valid until its slot is written again: the
+caches of a sequence_bptt call until the next call that reuses the
+store, a state of sequence_states until the step after next. Without a
+slot cell_forward allocates a fresh one.
+
 The backward pass and the analytic one-step Jacobian
 d h_t / d h_{t-1} are derived by hand from the equations above; finite
 differences in the test-suite pin them down. modReLU is flat at its kink
@@ -47,14 +60,26 @@ _VARIANTS = ("gru", "ncgru")
 _KINK_ATOL = 1e-6
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh saturates instead of overflowing, so no branch on the sign of x
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 (1 + tanh(x / 2)), into out when given; tanh saturates instead
+    of overflowing, so no branch on the sign of x."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def modrelu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sign(z) * relu(|z| + b) with a broadcastable bias."""
-    return np.sign(z) * np.maximum(np.abs(z) + b, 0.0)
+def modrelu(z: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(z) * relu(|z| + b) with a broadcastable bias, into out when given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(b)))
+    np.add(np.abs(z), b, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(z)
+    return out
 
 
 @dataclass
@@ -123,6 +148,10 @@ class StepCache:
     (rows, B) columns. variant tags which forward produced the cache so a
     mismatched backward is rejected instead of silently using the wrong
     candidate slope.
+
+    x_t and h_prev are the arrays the step was given; the other seven are
+    views of the slot cell_forward wrote, valid until that slot is written
+    again (see the module docstring).
     """
 
     x_t: np.ndarray
@@ -137,11 +166,26 @@ class StepCache:
     variant: str
 
 
-def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
-                 ) -> tuple[np.ndarray, StepCache]:
+# The rows of a step slot, in the order cell_forward writes them.
+_SLOT_ROWS = ("pre_r", "pre_u", "pre_c", "r_t", "u_t", "c_t", "h_t")
+
+
+def step_store(n: int, steps: int, batch: int) -> np.ndarray:
+    """Uninitialised room for the activations of `steps` forward steps of
+    an n-unit cell at batch size B: a (7, steps, n, B) float64 array whose
+    store[:, t] is step t's slot."""
+    return np.empty((len(_SLOT_ROWS), steps, n, batch))
+
+
+def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
+                 slot: np.ndarray | None = None) -> tuple[np.ndarray, StepCache]:
     """One step of the cell named by p.variant.
 
     x_t is (m, B) and h_prev is (n, B); returns h_t (n, B) and the cache.
+    The step's seven activations are written into slot, a (7, n, B)
+    float64 array such as store[:, t] of a step_store, or into a fresh
+    one when slot is None; h_t and the cache's other activations are
+    views of it.
     """
     x = np.asarray(x_t, dtype=np.float64)
     h = np.asarray(h_prev, dtype=np.float64)
@@ -153,20 +197,33 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray
         raise ShapeError(f"h_prev has {h.shape[0]} entries, cell expects {p.n}")
     if x.shape[1] != h.shape[1]:
         raise ShapeError(f"batch sizes differ: x {x.shape[1]}, h {h.shape[1]}")
+    want = (len(_SLOT_ROWS),) + h.shape
+    if slot is None:
+        slot = np.empty(want)
+    elif slot.shape != want or slot.dtype != np.float64:
+        raise ShapeError(f"slot is {slot.dtype} {slot.shape}, the step needs float64 {want}")
+    pre_r, pre_u, pre_c, r, u, c, h_t = slot
 
-    pre_r = p.w_r @ x + p.u_r @ h + p.b_r[:, None]
-    pre_u = p.w_u @ x + p.u_u @ h + p.b_u[:, None]
-    r = sigmoid(pre_r)
-    u = sigmoid(pre_u)
+    np.matmul(p.w_r, x, out=pre_r)
+    pre_r += p.u_r @ h
+    pre_r += p.b_r[:, None]
+    np.matmul(p.w_u, x, out=pre_u)
+    pre_u += p.u_u @ h
+    pre_u += p.b_u[:, None]
+    sigmoid(pre_r, out=r)
+    sigmoid(pre_u, out=u)
+    np.matmul(p.w_c, x, out=pre_c)
+    pre_c += p.u_c @ (r * h)
     if p.variant == "gru":
-        pre_c = p.w_c @ x + p.u_c @ (r * h) + p.b_c[:, None]
-        c = np.tanh(pre_c)
+        pre_c += p.b_c[:, None]
+        np.tanh(pre_c, out=c)
     elif p.variant == "ncgru":
-        pre_c = p.w_c @ x + p.u_c @ (r * h)
-        c = modrelu(pre_c, p.b_c[:, None])
+        modrelu(pre_c, p.b_c[:, None], out=c)
     else:
         raise ContractError(f"unknown variant {p.variant!r}")
-    h_t = (1.0 - u) * h + u * c
+    np.subtract(1.0, u, out=h_t)
+    h_t *= h
+    h_t += u * c
     cache = StepCache(x_t=x, h_prev=h, pre_r=pre_r, pre_u=pre_u, pre_c=pre_c,
                       r_t=r, u_t=u, c_t=c, h_t=h_t, variant=p.variant)
     return h_t, cache
@@ -224,26 +281,43 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     return g, g_hprev
 
 
-def _unroll(p: CellParams, inputs, caches: list | None) -> list[np.ndarray]:
-    """Hidden states [h_1 .. h_T] from h_0 = 0; each step's cache is
-    appended to caches when it is a list and dropped when it is None."""
-    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    if not xs:
+def _columns(x) -> np.ndarray:
+    """x as a float64 (m, B) step input; any other ndim is a ShapeError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"step inputs must be 2-D (m, B) columns, got ndim {x.ndim}")
+    return x
+
+
+def _unroll(p: CellParams, inputs, store: np.ndarray | None = None):
+    """Yield the cache of every step from h_0 = 0, reading inputs one step
+    at a time. Step t is written into slot t % S of the (7, S, n, B)
+    store; without one, a two-slot store is made for the first step's B."""
+    h = None
+    for t, x in enumerate(inputs):
+        if h is None:
+            x = _columns(x)
+            if store is None:
+                store = step_store(p.n, 2, x.shape[1])
+            h = np.zeros((p.n, x.shape[1]))
+        h, cache = cell_forward(p, x, h, store[:, t % store.shape[1]])
+        yield cache
+    if h is None:
         raise ContractError("input sequence is empty")
-    # a 1-D x makes h 1-D too; cell_forward then rejects the step
-    h = np.zeros((p.n,) + xs[0].shape[1:])
-    hs = []
-    for x in xs:
-        h, cache = cell_forward(p, x, h)
-        hs.append(h)
-        if caches is not None:
-            caches.append(cache)
-    return hs
+
+
+def sequence_states(p: CellParams, inputs):
+    """Yield the hidden states h_1 .. h_T from h_0 = 0, reading inputs (any
+    iterable of per-step (m, B) arrays) as it goes, through a two-slot
+    store: h_t is overwritten by step t + 2, so a consumer reads each
+    state as it arrives, and the pass holds O(n B) for any T."""
+    for cache in _unroll(p, inputs):
+        yield cache.h_t
 
 
 def sequence_forward(p: CellParams, inputs) -> list[np.ndarray]:
     """Hidden states [h_1 .. h_T] from h_0 = 0, no caches kept."""
-    return _unroll(p, inputs, None)
+    return [h.copy() for h in sequence_states(p, inputs)]
 
 
 @dataclass
@@ -252,16 +326,32 @@ class BpttResult:
     grads: CellParams
 
 
-def sequence_bptt(p: CellParams, inputs, loss) -> BpttResult:
+def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
+                  ) -> BpttResult:
     """Full backpropagation through time from h_0 = 0.
 
     inputs is a sequence of per-step (m, B) arrays or an ndarray with time
     on axis 0. loss must provide
     loss_and_grads(hs) -> (scalar, per-step dL/dh list, None meaning zero),
     evaluated on the collected hidden states [h_1 .. h_T].
+    store receives the T steps' activations: step_store(p.n, T, B),
+    overwritten, so a caller that trains on many batches of one shape
+    passes the same store to every call. A store of any other shape or
+    dtype is a ShapeError, never used in part; without one the call makes
+    a fresh store.
     """
-    caches = []
-    hs = _unroll(p, inputs, caches)
+    xs = list(inputs)
+    if not xs:
+        raise ContractError("input sequence is empty")
+    batch = _columns(xs[0]).shape[1]
+    if store is None:
+        store = step_store(p.n, len(xs), batch)
+    want = (len(_SLOT_ROWS), len(xs), p.n, batch)
+    if store.shape != want or store.dtype != np.float64:
+        raise ShapeError(f"step store is {store.dtype} {store.shape}, "
+                         f"this call needs float64 {want}")
+    caches = list(_unroll(p, xs, store))
+    hs = [cache.h_t for cache in caches]
 
     loss_value, step_grads = loss.loss_and_grads(hs)
     if len(step_grads) != len(hs):

@@ -83,7 +83,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import tasks
-from .cells import CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward
+from .cells import (CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward,
+                    sequence_states, step_store)
 from .codec import decode, decode_int, encode, reading
 from .errors import ConfigError, ContractError, NumericError, ShapeError, SingularMatrixError
 from .optim import _KINDS, Optimizer
@@ -307,21 +308,32 @@ class LinearReadoutMse:
         self.b = b
         self.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
 
-    def loss_and_grads(self, hs):
-        h = hs[-1]
+    def _residual(self, h):
+        """(loss, y - targets) of the final state h: the one loss formula
+        of loss_and_grads and loss."""
         y = self.w @ h + self.b[:, None]
         if self.targets.shape != y.shape:
             raise ContractError(f"targets shape {self.targets.shape} does not match "
                                 f"the readout's {y.shape}")
         diff = y - self.targets
-        batch = h.shape[1]
-        loss = float(np.sum(diff * diff)) / batch
-        g_y = 2.0 * diff / batch
+        return float(np.sum(diff * diff)) / h.shape[1], diff
+
+    def loss_and_grads(self, hs):
+        h = hs[-1]
+        loss, diff = self._residual(h)
+        g_y = 2.0 * diff / h.shape[1]
         self.grad_w = g_y @ h.T
         self.grad_b = np.sum(g_y, axis=1)
         grads = [None] * len(hs)
         grads[-1] = self.w.T @ g_y
         return loss, grads
+
+    def loss(self, hs):
+        """loss_and_grads(hs)[0] without the gradients, for any iterable of
+        states read once in order; only the last one is scored."""
+        for h in hs:
+            pass
+        return self._residual(h)[0]
 
 
 class SoftmaxReadoutXent:
@@ -335,11 +347,22 @@ class SoftmaxReadoutXent:
         self.b = b
         self.targets = np.asarray(targets, dtype=np.int64)
 
-    def loss_and_grads(self, hs):
-        steps, batch = len(hs), hs[-1].shape[1]
+    def _check(self, batch: int, steps: int) -> None:
         if self.targets.shape != (batch, steps):
             raise ContractError(f"targets shape {self.targets.shape} does not cover "
                                 f"{batch} examples x {steps} steps")
+
+    def _step(self, t, h, cols):
+        """(summed cross-entropy, max-shifted logits, log partition) of step
+        t's state h: the one per-step formula of loss_and_grads and loss."""
+        logits = self.w @ h + self.b[:, None]
+        logits -= np.max(logits, axis=0, keepdims=True)
+        logz = np.log(np.sum(np.exp(logits), axis=0))
+        return float(np.sum(logz - logits[self.targets[:, t], cols])), logits, logz
+
+    def loss_and_grads(self, hs):
+        steps, batch = len(hs), hs[-1].shape[1]
+        self._check(batch, steps)
         denom = batch * steps
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
@@ -347,18 +370,30 @@ class SoftmaxReadoutXent:
         loss = 0.0
         grads: list = [None] * steps
         for t, h in enumerate(hs):
-            logits = self.w @ h + self.b[:, None]
-            logits -= np.max(logits, axis=0, keepdims=True)
-            logz = np.log(np.sum(np.exp(logits), axis=0))
-            tgt = self.targets[:, t]
-            loss += float(np.sum(logz - logits[tgt, cols]))
+            step_loss, logits, logz = self._step(t, h, cols)
+            loss += step_loss
             probs = np.exp(logits - logz[None, :])
-            probs[tgt, cols] -= 1.0
+            probs[self.targets[:, t], cols] -= 1.0
             probs /= denom
             self.grad_w += probs @ h.T
             self.grad_b += np.sum(probs, axis=1)
             grads[t] = self.w.T @ probs
         return loss / denom, grads
+
+    def loss(self, hs):
+        """loss_and_grads(hs)[0] without the gradients, for any iterable of
+        states read once in order: each is scored as it arrives and none is
+        kept, so a stream of states needs no list of them."""
+        loss, steps = 0.0, 0
+        for h in hs:
+            if steps == 0:
+                self._check(h.shape[1], self.targets.shape[-1])
+                cols = np.arange(h.shape[1])
+            if steps < self.targets.shape[1]:   # a surplus step fails the check below
+                loss += self._step(steps, h, cols)[0]
+            steps += 1
+        self._check(h.shape[1], steps)
+        return loss / (h.shape[1] * steps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +454,12 @@ def make_loss(state: RunState, batch: TaskBatch):
 
 
 def evaluate(state: RunState, batch: TaskBatch) -> float:
-    hs = sequence_forward(state.params, batch.step_inputs())
-    loss, _ = make_loss(state, batch).loss_and_grads(hs)
-    return float(loss)
+    """The readout's loss on batch. Inputs, states and per-step losses
+    stream: the forward reads each step's input as it reaches it and the
+    readout's loss-only pass scores each state as it arrives, so
+    evaluation holds O(n B) for any sequence length."""
+    states = sequence_states(state.params, batch.stream_step_inputs())
+    return make_loss(state, batch).loss(states)
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +499,18 @@ def train_steps(state: RunState):
     rows once state.step is advanced to it. The held-out batch comes from
     the config, drawn once. A numeric abort raises NumericError or
     SingularMatrixError, possibly mid-update.
-    A generator keeps each iteration's arrays until the next replaces them;
-    a function per iteration freed them, glibc trimmed the heap, and the
-    next iteration paged it back in (adding_desk iter_ms_p50 5.7% slower,
-    10 of 10 rotated runs)."""
+    Every iteration's step caches go into one step store made here for
+    the run's (n, T, B), which the next iteration overwrites. Caches
+    allocated per iteration are freed at its end, glibc trims the freed
+    heap top, and the next iteration page-faults it back in: 1,500-1,900
+    minor faults per adding_desk iteration, against about 2 with the
+    store. The orthogonal step's n x n temporaries are still allocated
+    and freed every iteration."""
     cfg, params, ortho = state.config, state.params, state.config.model.ortho_set
     eval_batch = make_batch(cfg.task.name, cfg.task.T,
                             cfg.train.eval_batch_size or cfg.train.batch_size,
                             cfg.train.seed + _EVAL_SEED)
+    store = step_store(params.n, eval_batch.inputs.shape[1], cfg.train.batch_size)
     for k in range(state.step + 1, cfg.train.iterations + 1):
         batch = make_batch(cfg.task.name, cfg.task.T, cfg.train.batch_size,
                            cfg.train.seed + _BATCH_SEED_BASE + k)
@@ -476,7 +518,7 @@ def train_steps(state: RunState):
         # Overflow in a diverging run shows up as a non-finite loss or
         # gradient check, not as a flood of runtime warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = sequence_bptt(params, batch.step_inputs(), loss_obj)
+            result = sequence_bptt(params, batch.step_inputs(), loss_obj, store=store)
             if not np.isfinite(result.loss):
                 raise NumericError(f"non-finite training loss at iteration {k}")
 

@@ -72,9 +72,16 @@ class TaskBatch:
         return self.inputs.shape[0]
 
     def step_inputs(self) -> list[np.ndarray]:
-        """Per-step (dim, batch) column copies, C-contiguous, one per step."""
-        return [np.ascontiguousarray(self.inputs[:, t, :].T)
-                for t in range(self.inputs.shape[1])]
+        """Per-step (dim, batch) columns: C-contiguous views of one
+        (T_total, dim, batch) transposed copy of inputs."""
+        return list(np.ascontiguousarray(self.inputs.transpose(1, 2, 0)))
+
+    def stream_step_inputs(self):
+        """The columns of step_inputs one at a time, each a C-contiguous
+        copy made when the iteration reaches its step, so a pass over them
+        holds O(dim * batch) for any T_total."""
+        for t in range(self.inputs.shape[1]):
+            yield np.ascontiguousarray(self.inputs[:, t, :].T)
 
 
 def _one_hot(classes: np.ndarray, depth: int) -> np.ndarray:

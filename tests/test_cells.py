@@ -22,9 +22,10 @@ from ncgru.cells import (
     sequence_bptt,
     sequence_forward,
     sigmoid,
+    step_store,
 )
 from ncgru.errors import ContractError, ShapeError
-from ncgru.harness import LinearReadoutMse
+from ncgru.harness import LinearReadoutMse, SoftmaxReadoutXent
 
 
 def oracle_step(p, x, h):
@@ -54,6 +55,18 @@ def test_modrelu_cases():
     got = modrelu(z, b)
     want = np.array([1.0, -1.0, 0.0, -0.75])
     assert np.array_equal(got, want)
+
+
+def test_out_arguments_write_the_same_bits():
+    """sigmoid and modrelu into a given array equal the plain formulas."""
+    rng = np.random.default_rng(30)
+    z = rng.normal(size=(5, 3)) * 4.0
+    b = rng.uniform(-1.0, 1.0, (5, 1))
+    out = np.empty((5, 3))
+    assert sigmoid(z, out=out) is out
+    assert np.array_equal(out, 0.5 * (1.0 + np.tanh(0.5 * z)))
+    assert modrelu(z, b, out=out) is out
+    assert np.array_equal(out, np.sign(z) * np.maximum(np.abs(z) + b, 0.0))
 
 
 def test_gru_zero_everything():
@@ -204,6 +217,49 @@ def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
     assert len(hs) == len(refs) == 6
     assert max(live) <= 1
     assert all(ref() is None for ref in refs)
+
+
+def _xent_loss(targets):
+    return SoftmaxReadoutXent(np.eye(5)[:4], np.zeros(4), targets)
+
+
+@pytest.mark.parametrize("variant", ["gru", "ncgru"])
+def test_reused_store_gives_the_fresh_store_result(variant):
+    """A store that held another batch's steps gives the second batch the
+    loss and gradients of a fresh store, bit for bit, and ends up holding
+    that batch's activations."""
+    rng = np.random.default_rng(31)
+    p = CellParams.init(variant, 5, 3, seed=32)
+    p.b_c[:] = rng.uniform(-0.5, 0.5, 5)
+    first, second = rng.normal(size=(2, 7, 3, 4))
+    targets = rng.integers(0, 4, (2, 4, 7))
+    store = step_store(5, 7, 4)
+    sequence_bptt(p, first, _xent_loss(targets[0]), store)
+    reused_loss, fresh_loss = _xent_loss(targets[1]), _xent_loss(targets[1])
+    reused = sequence_bptt(p, second, reused_loss, store)
+    fresh = sequence_bptt(p, second, fresh_loss)
+    assert reused.loss == fresh.loss
+    for (name, got), (_, want) in zip(reused.grads.named_arrays(), fresh.grads.named_arrays()):
+        assert np.array_equal(got, want), name
+    assert np.array_equal(reused_loss.grad_w, fresh_loss.grad_w)
+    assert np.array_equal(reused_loss.grad_b, fresh_loss.grad_b)
+    assert np.array_equal(store[6], np.stack(sequence_forward(p, second)))
+
+
+def test_store_of_another_shape_is_rejected_untouched():
+    """A store made for another T, B or n, or not float64, is a ShapeError
+    before any step is written: it is never reused in part or replaced."""
+    p = CellParams.init("ncgru", 5, 3, seed=33)
+    xs = np.random.default_rng(34).normal(size=(7, 3, 4))
+    loss = LinearReadoutMse(np.eye(5), np.zeros(5), np.zeros((5, 4)))
+    for store in (step_store(5, 6, 4), step_store(5, 8, 4), step_store(5, 7, 3),
+                  step_store(4, 7, 4), np.empty((7, 7, 5, 4), dtype=np.float32)):
+        store[...] = np.nan
+        with pytest.raises(ShapeError, match="step store"):
+            sequence_bptt(p, xs, loss, store)
+        assert np.all(np.isnan(store))
+    with pytest.raises(ShapeError, match="slot"):
+        cell_forward(p, xs[0], np.zeros((5, 4)), step_store(5, 1, 3)[:, 0])
 
 
 def test_batched_forward_equals_loop():

@@ -6,12 +6,14 @@ import dataclasses
 import itertools
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncgru import harness, orthocore
+from ncgru.cells import sequence_forward
 from ncgru.cli import main
 from ncgru.codec import encode
 from ncgru.errors import ConfigError, ContractError, ShapeError
@@ -31,6 +33,7 @@ from ncgru.harness import (
     train_steps,
 )
 from ncgru.orthocore import SkewOrthogonal
+from ncgru.tasks import make_batch
 
 
 BASE_CFG = {
@@ -880,10 +883,44 @@ def test_gradcheck_catches_a_wrong_readout_gradient(monkeypatch, cls, scope, bro
         "xent_five_steps", "xent_1d"])
 def test_readouts_reject_mis_shaped_targets(make):
     """Six steps of a (4, 5) state: the MSE wants (out, 5) targets (or (5,)
-    when out is 1), the cross-entropy (5, 6)."""
+    when out is 1), the cross-entropy (5, 6); the loss-only pass over a
+    stream of the states agrees."""
     hs = [np.full((4, 5), 0.1)] * 6
     with pytest.raises(ContractError, match="targets shape"):
         make().loss_and_grads(hs)
+    with pytest.raises(ContractError, match="targets shape"):
+        make().loss(iter(hs))
+
+
+@pytest.mark.parametrize("task", ["adding", "copying", "parenthesis"])
+def test_evaluate_streams_the_loss_bit_for_bit(task):
+    """evaluate's streamed pass equals the readout's loss_and_grads on the
+    listed states, for the MSE (adding) and cross-entropy readouts."""
+    state = build_model(ExperimentConfig.from_dict(make_cfg(**{"task.name": task,
+                                                                "task.T": 12})))
+    for _ in train_steps(state):   # move the weights off their init
+        pass
+    batch = make_batch(task, 12, 7, seed=5)
+    hs = sequence_forward(state.params, batch.step_inputs())
+    want = harness.make_loss(state, batch).loss_and_grads(hs)[0]
+    assert harness.evaluate(state, batch) == want
+
+
+def test_evaluate_memory_does_not_grow_with_the_sequence():
+    """Streamed evaluation holds O(n B): its peak allocation on a copying
+    batch at T=500 stays below twice the peak at T=50."""
+    peaks = {}
+    for T in (50, 500):
+        state = build_model(ExperimentConfig.from_dict(make_cfg(**{"task.name": "copying",
+                                                                    "task.T": T})))
+        batch = make_batch("copying", T, 16, seed=3)
+        tracemalloc.start()
+        try:
+            harness.evaluate(state, batch)
+            peaks[T] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[500] < 2 * peaks[50], peaks
 
 
 def test_cli_train_and_artifacts(tmp_path):

@@ -199,9 +199,17 @@ def test_step_inputs_layout():
     batch = gen_adding(T=7, batch=4, seed=9)
     steps = batch.step_inputs()
     assert len(steps) == 7
+    assert steps[0].base is not None
     for t, s in enumerate(steps):
         assert s.shape == (2, 4)
+        assert s.flags.c_contiguous
+        assert s.base is steps[0].base
         assert np.array_equal(s, batch.inputs[:, t, :].T)
+    streamed = list(batch.stream_step_inputs())
+    assert len(streamed) == 7
+    for s, want in zip(streamed, steps):
+        assert s.flags.c_contiguous
+        assert np.array_equal(s, want)
 
 
 def test_jsonl_round_trip(tmp_path):
