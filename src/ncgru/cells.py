@@ -331,9 +331,12 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
     """Full backpropagation through time from h_0 = 0.
 
     inputs is a sequence of per-step (m, B) arrays or an ndarray with time
-    on axis 0. loss must provide
-    loss_and_grads(hs) -> (scalar, per-step dL/dh list, None meaning zero),
-    evaluated on the collected hidden states [h_1 .. h_T].
+    on axis 0. loss must provide loss_and_grads(hs) -> (scalar, step
+    gradients), where hs is the store's (T, n, B) block of the hidden
+    states h_1 .. h_T, read before the backward pass starts, and the step
+    gradients are any sequence of length T whose entry t, read once as
+    the backward pass reaches step t, is dL/dh_t as an (n, B) array or
+    None meaning zero.
     store receives the T steps' activations: step_store(p.n, T, B),
     overwritten, so a caller that trains on many batches of one shape
     passes the same store to every call. A store of any other shape or
@@ -351,16 +354,15 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
         raise ShapeError(f"step store is {store.dtype} {store.shape}, "
                          f"this call needs float64 {want}")
     caches = list(_unroll(p, xs, store))
-    hs = [cache.h_t for cache in caches]
 
-    loss_value, step_grads = loss.loss_and_grads(hs)
-    if len(step_grads) != len(hs):
+    loss_value, step_grads = loss.loss_and_grads(store[_SLOT_ROWS.index("h_t")])
+    if len(step_grads) != len(xs):
         raise ContractError(
-            f"loss returned {len(step_grads)} step gradients for {len(hs)} steps")
+            f"loss returned {len(step_grads)} step gradients for {len(xs)} steps")
 
     grads = _zeros_like(p)
     g_h = None
-    for t in range(len(hs) - 1, -1, -1):
+    for t in range(len(xs) - 1, -1, -1):
         inject = step_grads[t]
         if inject is not None:
             g_h = inject if g_h is None else g_h + inject

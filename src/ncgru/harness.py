@@ -298,6 +298,11 @@ class ExperimentConfig:
 # readout losses
 
 
+def _no_states(steps: int) -> None:
+    if steps == 0:
+        raise ContractError("the readout needs at least one state, got none")
+
+
 class LinearReadoutMse:
     """y = W h_T + b on the final (n, B) state; loss is the squared error
     summed over the entries of y and averaged over the batch. targets has
@@ -319,6 +324,8 @@ class LinearReadoutMse:
         return float(np.sum(diff * diff)) / h.shape[1], diff
 
     def loss_and_grads(self, hs):
+        """hs is the (T, n, B) block of states or a list of T (n, B) ones."""
+        _no_states(len(hs))
         h = hs[-1]
         loss, diff = self._residual(h)
         g_y = 2.0 * diff / h.shape[1]
@@ -331,9 +338,28 @@ class LinearReadoutMse:
     def loss(self, hs):
         """loss_and_grads(hs)[0] without the gradients, for any iterable of
         states read once in order; only the last one is scored."""
-        for h in hs:
+        steps = 0
+        for steps, h in enumerate(hs, 1):
             pass
+        _no_states(steps)
         return self._residual(h)[0]
+
+
+class _StepGrads:
+    """dL/dh_t = w.T @ probs[t] for every step t, formed when step t is
+    read: a sequence of T (n, B) arrays that holds only the (T, out, B)
+    probs. w is a copy taken when the readout scored the states, so an
+    optimizer updating the readout in place does not change it."""
+
+    def __init__(self, w: np.ndarray, probs: np.ndarray):
+        self.w = w.copy()
+        self.probs = probs
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __getitem__(self, t):
+        return self.w.T @ self.probs[t]
 
 
 class SoftmaxReadoutXent:
@@ -352,33 +378,40 @@ class SoftmaxReadoutXent:
             raise ContractError(f"targets shape {self.targets.shape} does not cover "
                                 f"{batch} examples x {steps} steps")
 
-    def _step(self, t, h, cols):
-        """(summed cross-entropy, max-shifted logits, log partition) of step
-        t's state h: the one per-step formula of loss_and_grads and loss."""
-        logits = self.w @ h + self.b[:, None]
-        logits -= np.max(logits, axis=0, keepdims=True)
-        logz = np.log(np.sum(np.exp(logits), axis=0))
-        return float(np.sum(logz - logits[self.targets[:, t], cols])), logits, logz
+    def _block(self, t0, hs):
+        """(cross-entropy summed over the batch, one entry per step;
+        max-shifted logits; log partition) of the (k, n, B) states hs of
+        steps t0 .. t0 + k - 1: the one formula of loss_and_grads, which
+        applies it to all T states at once, and loss, one state at a time."""
+        k, _, batch = hs.shape
+        logits = self.w @ hs
+        logits += self.b[:, None]
+        logits -= np.max(logits, axis=1, keepdims=True)
+        logz = np.log(np.sum(np.exp(logits), axis=1))
+        picked = logits[np.arange(k)[:, None], self.targets[:, t0:t0 + k].T, np.arange(batch)]
+        return np.sum(logz - picked, axis=1), logits, logz
 
     def loss_and_grads(self, hs):
-        steps, batch = len(hs), hs[-1].shape[1]
+        """hs is the (T, n, B) block of states or a list of T (n, B) ones;
+        the step gradients are formed one at a time as they are read."""
+        _no_states(len(hs))
+        hs = np.asarray(hs, dtype=np.float64)
+        steps, _, batch = hs.shape
         self._check(batch, steps)
         denom = batch * steps
+        step_losses, probs, logz = self._block(0, hs)
+        probs -= logz[:, None, :]   # the logits become the probabilities in place
+        np.exp(probs, out=probs)
+        probs[np.arange(steps)[:, None], self.targets.T, np.arange(batch)] -= 1.0
+        probs /= denom
         self.grad_w = np.zeros_like(self.w)
         self.grad_b = np.zeros_like(self.b)
-        cols = np.arange(batch)
         loss = 0.0
-        grads: list = [None] * steps
-        for t, h in enumerate(hs):
-            step_loss, logits, logz = self._step(t, h, cols)
-            loss += step_loss
-            probs = np.exp(logits - logz[None, :])
-            probs[self.targets[:, t], cols] -= 1.0
-            probs /= denom
-            self.grad_w += probs @ h.T
-            self.grad_b += np.sum(probs, axis=1)
-            grads[t] = self.w.T @ probs
-        return loss / denom, grads
+        for t in range(steps):
+            loss += float(step_losses[t])
+            self.grad_w += probs[t] @ hs[t].T
+            self.grad_b += np.sum(probs[t], axis=1)
+        return loss / denom, _StepGrads(self.w, probs)
 
     def loss(self, hs):
         """loss_and_grads(hs)[0] without the gradients, for any iterable of
@@ -388,10 +421,10 @@ class SoftmaxReadoutXent:
         for h in hs:
             if steps == 0:
                 self._check(h.shape[1], self.targets.shape[-1])
-                cols = np.arange(h.shape[1])
             if steps < self.targets.shape[1]:   # a surplus step fails the check below
-                loss += self._step(steps, h, cols)[0]
+                loss += float(self._block(steps, h[None])[0][0])
             steps += 1
+        _no_states(steps)
         self._check(h.shape[1], steps)
         return loss / (h.shape[1] * steps)
 

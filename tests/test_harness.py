@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ncgru import harness, orthocore
-from ncgru.cells import sequence_forward
+from ncgru.cells import sequence_bptt, sequence_forward, step_store
 from ncgru.cli import main
 from ncgru.codec import encode
 from ncgru.errors import ConfigError, ContractError, ShapeError
@@ -892,6 +892,44 @@ def test_readouts_reject_mis_shaped_targets(make):
         make().loss(iter(hs))
 
 
+@pytest.mark.parametrize("cls", [LinearReadoutMse, SoftmaxReadoutXent])
+@pytest.mark.parametrize("method", ["loss", "loss_and_grads"])
+@pytest.mark.parametrize("states", [[], np.empty((0, 4, 5))], ids=["list", "block"])
+def test_readouts_reject_an_empty_sequence(cls, method, states):
+    readout = cls(np.ones((3, 4)), np.zeros(3), np.zeros((3, 5)))
+    with pytest.raises(ContractError, match="at least one state"):
+        getattr(readout, method)(states)
+
+
+@pytest.mark.parametrize("cls,targets", [
+    (LinearReadoutMse, lambda rng: rng.standard_normal((3, 4))),
+    (SoftmaxReadoutXent, lambda rng: rng.integers(0, 3, (4, 7))),
+], ids=["mse", "xent"])
+def test_readouts_score_a_block_as_its_list(cls, targets):
+    """loss_and_grads on the (T, n, B) block of states gives the loss, the
+    readout gradients and every step gradient of the list of those states,
+    bit for bit. The step gradients support len() and [-1], and keep
+    their values when the caller then updates w in place, as the
+    optimizer does."""
+    rng = np.random.default_rng(0)
+    block = rng.standard_normal((7, 5, 4))
+    w, b, y = rng.standard_normal((3, 5)), rng.standard_normal(3), targets(rng)
+    on_block, on_list = cls(w, b, y), cls(w, b, y)
+    loss, grads = on_block.loss_and_grads(block)
+    list_loss, list_grads = on_list.loss_and_grads(list(block))
+    assert loss == list_loss
+    assert np.array_equal(on_block.grad_w, on_list.grad_w)
+    assert np.array_equal(on_block.grad_b, on_list.grad_b)
+    assert len(grads) == len(list_grads) == 7
+    assert np.array_equal(grads[-1], grads[6])
+    read = [grads[t] for t in range(7)]
+    for g, want in zip(read, list_grads):
+        assert (g is None and want is None) or np.array_equal(g, want)
+    w += 1.0
+    for t, g in enumerate(read):
+        assert (g is None and grads[t] is None) or np.array_equal(grads[t], g)
+
+
 @pytest.mark.parametrize("task", ["adding", "copying", "parenthesis"])
 def test_evaluate_streams_the_loss_bit_for_bit(task):
     """evaluate's streamed pass equals the readout's loss_and_grads on the
@@ -921,6 +959,27 @@ def test_evaluate_memory_does_not_grow_with_the_sequence():
         finally:
             tracemalloc.stop()
     assert peaks[500] < 2 * peaks[50], peaks
+
+
+def test_bptt_memory_holds_no_per_step_gradients():
+    """One sequence_bptt call on a copying batch with a preallocated store
+    peaks below T n B 8 bytes of allocation, the size of a list of the
+    T per-step (n, B) gradients dL/dh_t; the readout keeps only its
+    (T, out, B) probabilities, with out = 9 classes against n = 128."""
+    n, batch_size = 128, 16
+    state = build_model(ExperimentConfig.from_dict(make_cfg(**{
+        "task.name": "copying", "task.T": 200, "model.hidden": n})))
+    batch = make_batch("copying", 200, batch_size, seed=3)
+    inputs = batch.step_inputs()
+    loss = harness.make_loss(state, batch)
+    store = step_store(n, len(inputs), batch_size)
+    tracemalloc.start()
+    try:
+        sequence_bptt(state.params, inputs, loss, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(inputs) * n * batch_size * 8, peak
 
 
 def test_cli_train_and_artifacts(tmp_path):
