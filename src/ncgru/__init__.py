@@ -1,16 +1,8 @@
-"""Orthogonal GRU training via Neumann-Cayley updates.
-
-The public surface: linear algebra kernels (linalg), the skew-symmetric
-orthogonal parameterization and its incremental inverse (orthocore), GRU
-and NC-GRU cells with hand-derived BPTT (cells), skew-preserving
-optimizers (optim), Jacobian-norm bounds (bounds), synthetic task
-generators (tasks), and the experiment harness plus CLI (harness, cli).
-"""
+"""Orthogonal GRU training via Neumann-Cayley updates (see README.md)."""
 
 from .bounds import BoundReport, compute_bound, saturation_sweep
 from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forward,
-                    jacobian_h, modrelu, sequence_bptt, sequence_forward, sequence_states,
-                    step_store)
+                    jacobian_h, modrelu, sequence_bptt, sequence_states, step_store)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
 from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState, build_model,
@@ -30,7 +22,7 @@ __all__ = [
     "BoundReport", "compute_bound", "saturation_sweep",
     "BpttResult", "CellParams", "LinearReadoutMse", "StepCache",
     "cell_backward", "cell_forward", "jacobian_h", "modrelu",
-    "sequence_bptt", "sequence_forward", "sequence_states", "step_store",
+    "sequence_bptt", "sequence_states", "step_store",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
     "NumericError", "ShapeError", "SingularMatrixError",
     "ExperimentConfig", "RunResult", "RunState", "build_model", "load_checkpoint",

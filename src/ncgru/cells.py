@@ -1,48 +1,20 @@
 """GRU and NC-GRU cells with hand-derived backward passes.
 
-Both variants share the gate structure
-
     r_t = sigmoid(W_r x_t + U_r h_{t-1} + b_r)
     u_t = sigmoid(W_u x_t + U_u h_{t-1} + b_u)
     h_t = (1 - u_t) * h_{t-1} + u_t * c_t
-
-and differ only in the candidate path. The plain GRU uses
-
-    c_t = tanh(W_c x_t + U_c (r_t * h_{t-1}) + b_c)
-
-while the NC-GRU moves the candidate bias b_c out of the pre-activation
-and into modReLU instead,
-
-    c_t = modrelu(W_c x_t + U_c (r_t * h_{t-1}), b_c)
+    c_t = tanh(W_c x_t + U_c (r_t * h_{t-1}) + b_c)          gru
+    c_t = modrelu(W_c x_t + U_c (r_t * h_{t-1}), b_c)        ncgru
     modrelu(z, b) = sign(z) * max(|z| + b, 0)
 
-so b_c plays the role for modReLU that it plays inside the tanh.
-modReLU preserves the norm direction of its input, which is what lets an
-orthogonal U_c carry signal across long horizons without squashing it.
+Inputs are (m, B) and states (n, B) columns; a 1-D vector is a ShapeError.
+h_0 is the zero state. modReLU's kink (|z| + b == 0) takes the
+subgradient 0.
 
-State convention: columns. An input is (m, B) and a hidden state (n, B),
-one example per column; a single example is B = 1, and a 1-D vector is a
-ShapeError. h_0 is always the zero state. All activations of a step are
-cached on the way forward so the backward pass is a pure function of
-(params, cache, incoming gradient).
-
-Where activations live: cell_forward writes a step's seven (n, B) rows
-(pre_r, pre_u, pre_c, r, u, c, h_t) into a slot, a (7, n, B) array, and
-its StepCache holds views of them. A step store, step_store(n, T, B), is
-T slots side by side, store[:, t] being step t's. sequence_bptt writes
-step t into store[:, t], so a caller that passes the same store to every
-call (the training loop does) allocates its caches once per run;
-sequence_states runs through a two-slot store instead, step t in slot
-t % 2, so a forward pass with no backward holds O(n B) however long the
-sequence. A view stays valid until its slot is written again: the
-caches of a sequence_bptt call until the next call that reuses the
-store, a state of sequence_states until the step after next. Without a
-slot cell_forward allocates a fresh one.
-
-The backward pass and the analytic one-step Jacobian
-d h_t / d h_{t-1} are derived by hand from the equations above; finite
-differences in the test-suite pin them down. modReLU is flat at its kink
-(|z| + b == 0), where the subgradient 0 is used.
+cell_forward writes a step's seven (n, B) rows (pre_r, pre_u, pre_c, r,
+u, c, h_t) into a (7, n, B) slot; its StepCache and h_t are views of them,
+valid until the slot is written again. A step store, step_store(n, T, B),
+is T slots, store[:, t] being step t's.
 """
 
 from __future__ import annotations
@@ -150,8 +122,7 @@ class StepCache:
     candidate slope.
 
     x_t and h_prev are the arrays the step was given; the other seven are
-    views of the slot cell_forward wrote, valid until that slot is written
-    again (see the module docstring).
+    views of the step's slot.
     """
 
     x_t: np.ndarray
@@ -309,15 +280,9 @@ def _unroll(p: CellParams, inputs, store: np.ndarray | None = None):
 def sequence_states(p: CellParams, inputs):
     """Yield the hidden states h_1 .. h_T from h_0 = 0, reading inputs (any
     iterable of per-step (m, B) arrays) as it goes, through a two-slot
-    store: h_t is overwritten by step t + 2, so a consumer reads each
-    state as it arrives, and the pass holds O(n B) for any T."""
+    store: h_t is overwritten by step t + 2, so the pass holds O(n B)."""
     for cache in _unroll(p, inputs):
         yield cache.h_t
-
-
-def sequence_forward(p: CellParams, inputs) -> list[np.ndarray]:
-    """Hidden states [h_1 .. h_T] from h_0 = 0, no caches kept."""
-    return [h.copy() for h in sequence_states(p, inputs)]
 
 
 @dataclass
@@ -331,17 +296,13 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
     """Full backpropagation through time from h_0 = 0.
 
     inputs is a sequence of per-step (m, B) arrays or an ndarray with time
-    on axis 0. loss must provide loss_and_grads(hs) -> (scalar, step
-    gradients), where hs is the store's (T, n, B) block of the hidden
-    states h_1 .. h_T, read before the backward pass starts, and the step
-    gradients are any sequence of length T whose entry t, read once as
-    the backward pass reaches step t, is dL/dh_t as an (n, B) array or
-    None meaning zero.
-    store receives the T steps' activations: step_store(p.n, T, B),
-    overwritten, so a caller that trains on many batches of one shape
-    passes the same store to every call. A store of any other shape or
-    dtype is a ShapeError, never used in part; without one the call makes
-    a fresh store.
+    on axis 0. loss.loss_and_grads(hs) gets the store's (T, n, B) block of
+    h_1 .. h_T and returns (scalar, step gradients): a length-T sequence
+    whose entry t, read once when backward reaches step t, is dL/dh_t
+    (n, B) or None for zero.
+    store, step_store(p.n, T, B), is overwritten with the T steps'
+    activations; any other shape or dtype is a ShapeError, and without one
+    the call makes a fresh store.
     """
     xs = list(inputs)
     if not xs:

@@ -18,7 +18,7 @@ class ConvergenceError(NcgruError, RuntimeError):
 
     Nothing in ncgru raises it (spectral norms are exact). It stays because
     trainbench/probes.py's _count_fallbacks counts it; the benchmark revision
-    of ROADMAP Direction 3 deletes both. Carries the last estimate.
+    of ROADMAP Direction 2 deletes both. Carries the last estimate.
     """
 
     def __init__(self, message: str, estimate: float):

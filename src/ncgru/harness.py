@@ -1,74 +1,13 @@
-"""Experiment orchestration: configs, the training loop with the
-orthogonal-weight update interleaved, ablations, finite-difference
-gradient checks, metric CSVs, and JSON checkpoints.
+"""Experiment orchestration: configs, readout losses, the training loop,
+ablations, finite-difference gradient checks, metric CSVs and checkpoints.
 
-Config schema (JSON; unknown keys and values of the wrong JSON type are
-errors: an int is never a bool or a float, a float must be finite):
-
-    {
-      "task":      {"name": "adding" | "copying" | "parenthesis" | "denoise",
-                    "T": int             (>= 2 adding, >= 11 denoise, else >= 1)},
-      "model":     {"variant": "GRU" | "NC-GRU",
-                    "hidden": int        (>= 2),
-                    "ortho_set": ["U_r", "U_u", "U_c"] subset (NC-GRU only;
-                                 default ["U_r", "U_c"]),
-                    "num_neg": int       (0..hidden; default hidden // 2),
-                    "neumann_order": 1 | 2 | 3   (default 2),
-                    "reset_every": int   (>= 0, 0 disables resets; default 50),
-                    "exact_inverse_mode": bool   (default false)},
-      "optimizer": {"kind": "sgd" | "rmsprop" | "adam",
-                    "lr": float > 0,
-                    "lr_A": float > 0    (default lr)},
-      "train":     {"iterations": int >= 0, "batch_size": int >= 1,
-                    "seed": int >= 0, "eval_every": int >= 1 (default 50),
-                    "eval_batch_size": int >= 1 (default batch_size)}
-    }
-
-The section dataclasses check these rules on construction, so a config
-changed with dataclasses.replace (the seed override, the ablation arms)
-raises ConfigError just like a bad file.
-
-Seeding layout, all derived from train.seed: cell weights use seed, the
-orthogonal states seed+101/102/103 (u_r/u_u/u_c), the readout seed+104,
-the held-out eval batch seed+1 (generated once), and the training batch of
-iteration k uses seed+2+k. Nothing reads global RNG state, so a run is a
-pure function of its config.
-
-A RunState holds a run between iterations, and train_steps advances it
-by one: generate batch -> sequence_bptt -> optimizer steps for ordinary
-weights and the readout -> for every weight in ortho_set, grad_pullback
-then a Neumann (or exact-inverse) step -> yield a MetricRow. A
-non-finite training or eval loss, gradient or orthogonal state, or an
-I + A too ill-conditioned to invert, ends the run with one structured
-row (train_loss = nan) and status "numeric_error" instead of a crash;
-such a run writes no checkpoint, because the abort can come after some
-weights of the iteration were already updated.
-
-The metrics CSV must be byte-identical across reruns of the same config
-and seed, so its wall_ms column is pinned to 0; measured times go to a
-timing.csv sidecar, one row per metrics row. At eval iterations every
-orthogonal step also measures the exact ||E||_2, and orthogonal.csv gets
-one row per weight (ortho_set order) with its contraction certificate,
-that spectral norm and its drift; an aborted iteration writes none. The
-exact-inverse arm forms E only at eval iterations: its metrics.csv reads
-contraction_norm 0.0 on every other row, and its max_contraction covers
-the eval iterations alone.
-
-Every artifact (metrics.csv, timing.csv, orthogonal.csv, config.json,
-checkpoint.json, an ablation's summary.json) is written to a temporary
-file in its directory and then renamed over the old one, so a process
-that dies mid-write leaves the earlier file whole. Nothing is fsynced:
-this does not guard against a power loss.
-
-A checkpoint is a RunState as one JSON document tagged
-ncgru-checkpoint-v3, in which every float64 array is an ncgru.codec
-record, base64 of its little-endian bytes plus its shape, so a load gives
-back the same bits. It holds the config, the only copy of the run's
-settings, and the state training changes: params, the arrays the
-optimizer steps, and skews, those the skew optimizer steps, each under
-the name it steps it by, next to those optimizers' buffers. A load builds
-the RunState from the config, restores that state, and train_steps
-continues it.
+README.md gives the config schema, the seeding layout, the artifacts and
+the checkpoint format. A run is a pure function of its config: every seed
+is train.seed plus an offset below, and nothing reads global RNG state.
+metrics.csv is byte-identical across reruns, so its wall_ms column is
+pinned to 0. A numeric abort (NumericError or SingularMatrixError) ends a
+run with one row of train_loss nan, status "numeric_error" and no
+checkpoint, since it can strike after part of an update was applied.
 """
 
 from __future__ import annotations
@@ -83,8 +22,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import tasks
-from .cells import (CellParams, cell_backward, cell_forward, sequence_bptt, sequence_forward,
-                    sequence_states, step_store)
+from .cells import (CellParams, cell_backward, cell_forward, sequence_bptt, sequence_states,
+                    step_store)
 from .codec import decode, decode_int, encode, reading
 from .errors import ConfigError, ContractError, NumericError, ShapeError, SingularMatrixError
 from .optim import _KINDS, Optimizer
@@ -324,7 +263,7 @@ class LinearReadoutMse:
         return float(np.sum(diff * diff)) / h.shape[1], diff
 
     def loss_and_grads(self, hs):
-        """hs is the (T, n, B) block of states or a list of T (n, B) ones."""
+        """hs is the (T, n, B) block of states; hs[-1] is scored."""
         _no_states(len(hs))
         h = hs[-1]
         loss, diff = self._residual(h)
@@ -365,13 +304,20 @@ class _StepGrads:
 class SoftmaxReadoutXent:
     """Per-step softmax cross-entropy of (n, B) states through a shared
     linear readout, scored at every step and averaged over batch and
-    steps. targets is (B, T) class indices; any other shape is a
-    ContractError."""
+    steps. targets is (B, T) class indices in [0, out); another shape, a
+    fractional value or an index out of range is a ContractError."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, targets: np.ndarray):
         self.w = w
         self.b = b
-        self.targets = np.asarray(targets, dtype=np.int64)
+        targets = np.asarray(targets)
+        # reductions, not elementwise tests: an eval batch's targets are
+        # (B, T), and evaluation holds O(n B). A NaN fails the range test.
+        ok = targets.dtype.kind in "iuf" and (
+            targets.size == 0 or 0 <= targets.min() and targets.max() < len(b))
+        if not ok or (targets.dtype.kind == "f" and np.any(targets % 1)):
+            raise ContractError(f"targets must be class indices in [0, {len(b)})")
+        self.targets = targets.astype(np.int64, copy=False)
 
     def _check(self, batch: int, steps: int) -> None:
         if self.targets.shape != (batch, steps):
@@ -392,10 +338,9 @@ class SoftmaxReadoutXent:
         return np.sum(logz - picked, axis=1), logits, logz
 
     def loss_and_grads(self, hs):
-        """hs is the (T, n, B) block of states or a list of T (n, B) ones;
-        the step gradients are formed one at a time as they are read."""
+        """hs is the (T, n, B) block of states; the step gradients are
+        formed one at a time as they are read."""
         _no_states(len(hs))
-        hs = np.asarray(hs, dtype=np.float64)
         steps, _, batch = hs.shape
         self._check(batch, steps)
         denom = batch * steps
@@ -487,10 +432,8 @@ def make_loss(state: RunState, batch: TaskBatch):
 
 
 def evaluate(state: RunState, batch: TaskBatch) -> float:
-    """The readout's loss on batch. Inputs, states and per-step losses
-    stream: the forward reads each step's input as it reaches it and the
-    readout's loss-only pass scores each state as it arrives, so
-    evaluation holds O(n B) for any sequence length."""
+    """The readout's loss on batch, with inputs, states and per-step
+    losses streamed, so it holds O(n B) for any sequence length."""
     states = sequence_states(state.params, batch.stream_step_inputs())
     return make_loss(state, batch).loss(states)
 
@@ -529,16 +472,13 @@ class RunResult:
 def train_steps(state: RunState):
     """Train state through iterations state.step + 1 ... train.iterations,
     fresh or loaded alike, yielding each one's MetricRow and orthogonal.csv
-    rows once state.step is advanced to it. The held-out batch comes from
-    the config, drawn once. A numeric abort raises NumericError or
-    SingularMatrixError, possibly mid-update.
-    Every iteration's step caches go into one step store made here for
-    the run's (n, T, B), which the next iteration overwrites. Caches
-    allocated per iteration are freed at its end, glibc trims the freed
-    heap top, and the next iteration page-faults it back in: 1,500-1,900
-    minor faults per adding_desk iteration, against about 2 with the
-    store. The orthogonal step's n x n temporaries are still allocated
-    and freed every iteration."""
+    rows once state.step is advanced to it. An iteration is: batch ->
+    sequence_bptt -> optimizer steps for the cell weights and readout ->
+    per orthogonal weight, grad_pullback then a Neumann or exact step ->
+    eval at eval iterations. The held-out batch comes from the config,
+    drawn once. A numeric abort raises NumericError or SingularMatrixError,
+    possibly mid-update. Every iteration writes its activations into one
+    step store made here, so their pages are not faulted in again."""
     cfg, params, ortho = state.config, state.params, state.config.model.ortho_set
     eval_batch = make_batch(cfg.task.name, cfg.task.T,
                             cfg.train.eval_batch_size or cfg.train.batch_size,
@@ -694,14 +634,11 @@ def read_metrics_csv(path) -> list[MetricRow]:
 
 
 def save_checkpoint(path, state: RunState) -> None:
-    """JSON snapshot of state: its config and everything training changes,
-    tagged ncgru-checkpoint-v3. params is state.trained() and optimizer
-    its buffers; skews holds each skew's state and optimizer_A their
-    buffers, under the same names. json.dump streams it and encodes each
-    float64 array as a codec record only when it reaches that array, so
-    the bytes are stored exactly and load -> save reproduces the file byte
-    for byte. An orthogonal weight is stored once, as its skew state;
-    load_checkpoint rebuilds it from there bit for bit."""
+    """JSON snapshot of state, tagged ncgru-checkpoint-v3: its config and
+    everything training changes, laid out as README.md describes.
+    json.dump encodes each float64 array as a codec record only when it
+    reaches that array, so a save holds one array's text at a time, and
+    load -> save reproduces the file byte for byte."""
     blob = {
         "format": _FORMAT,
         "step": state.step,
@@ -716,14 +653,12 @@ def save_checkpoint(path, state: RunState) -> None:
 
 def load_checkpoint(path) -> RunState:
     """The RunState save_checkpoint wrote, which train_steps continues as
-    if the run had not stopped: build_model of the stored config, the only
-    copy of the settings, with the trained state restored onto it and
-    checked like fresh state; other keys are not read. Raises ContractError
-    when the file is not an ncgru-checkpoint-v3, misses a section, holds a
-    malformed entry, a config that fails validation or a negative step,
-    when its arrays or optimizer buffers are not those of the run or have
-    another shape, when a state breaks the rules fresh state keeps, or
-    when a counter disagrees with the step."""
+    if the run had not stopped: build_model of the stored config with the
+    trained state restored onto it; other keys are not read. Raises
+    ContractError when the file is not an ncgru-checkpoint-v3, misses a
+    section, holds a malformed entry, an invalid config or a negative
+    step, names or shapes arrays unlike the run's, holds state that fresh
+    state never is, or has a counter that disagrees with the step."""
     with reading(f"checkpoint {path}"):
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -882,10 +817,10 @@ def _gradcheck_cell(seed: int, instances: int) -> dict:
 
             def value() -> float:
                 h1, _ = cell_forward(p, x, h)
-                return loss.loss_and_grads([h1])[0]
+                return loss.loss_and_grads(h1[None])[0]
 
-            _, cache = cell_forward(p, x, h)
-            _, step_grads = loss.loss_and_grads([cache.h_t])
+            h1, cache = cell_forward(p, x, h)
+            _, step_grads = loss.loss_and_grads(h1[None])
             grads, g_hprev = cell_backward(p, cache, step_grads[-1])
             analytic = {**dict(grads.named_arrays()), "h_prev": g_hprev,
                         "readout_w": loss.grad_w, "readout_b": loss.grad_b}
@@ -905,7 +840,7 @@ def _gradcheck_bptt(seed: int, instances: int, length: int = 5) -> dict:
             loss = SoftmaxReadoutXent(w, b, rng.integers(0, len(b), (2, length)))
 
             def value() -> float:
-                return loss.loss_and_grads(sequence_forward(p, xs))[0]
+                return loss.loss(sequence_states(p, xs))
 
             result = sequence_bptt(p, xs, loss)
             analytic = {**dict(result.grads.named_arrays()),
@@ -922,15 +857,10 @@ _GRADCHECKS = {"cayley": (_gradcheck_cayley, 20, 1e-6), "cell": (_gradcheck_cell
 
 
 def run_gradcheck(scope: str, seed: int = 0, instances: int | None = None) -> GradcheckReport:
-    """Finite-difference check of one analytic-gradient surface.
-
-    scope "cayley" checks grad_pullback through the exact transform
-    (tol 1e-6); "cell" checks one-step backward passes through
-    LinearReadoutMse and "bptt" the full unrolled sequence through
-    SoftmaxReadoutXent scored on every step (tol 1e-5), both on kink-free
-    instances and with the readout's own w and b gradients included.
-    Invalid arguments raise ContractError.
-    """
+    """Finite-difference check of one analytic-gradient surface: "cayley"
+    (grad_pullback), "cell" (one step through LinearReadoutMse) or "bptt"
+    (a sequence through SoftmaxReadoutXent). Invalid arguments raise
+    ContractError."""
     if instances is not None and instances < 1:
         raise ContractError(f"instances must be >= 1, got {instances}")
     if seed < 0:

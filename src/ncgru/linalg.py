@@ -1,20 +1,7 @@
-"""Dense float64 kernels used everywhere else in the package.
+"""Dense float64 kernels: exact inverse, spectral norm, orthogonality defect.
 
-All routines take and return plain numpy arrays: vectors are 1-D, matrices
-2-D, row-major, float64. The inverse and the spectral norm call LAPACK
-directly through scipy.linalg.lapack. The exact inverse is an LU
-factorization (dgetrf) followed by LAPACK's inverse from those factors
-(dgetri), so singularity is detected from the pivots rather than guessed
-from an exception. It works on the transpose, which is column-major
-where the input is row-major, so its result comes back row-major too and
-needs no reorder. The spectral norm is exact: the square root of the top
-eigenvalue of the smaller Gram matrix (m^T m or m m^T), from one
-symmetric eigensolve (dsyevr) restricted to that eigenvalue. It agrees
-with the SVD's largest singular value to rounding, is not understated
-when the leading singular values are close, and draws no random numbers.
-
-Every routine checks its result for NaN/Inf and raises NumericError rather
-than letting poisoned values propagate into a training run.
+Matrices are 2-D float64 arrays. Every routine raises NumericError on a
+NaN or Inf result rather than let it into a training run.
 """
 
 from __future__ import annotations
@@ -81,11 +68,12 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value of m (any rectangular shape); 0.0 if m is
     empty or zero.
 
-    Computed as sqrt(lambda_max) of the smaller Gram matrix. m is first
-    divided by max|m|, so entries near 1e+-200 neither overflow nor
-    underflow when squared, and the scale is multiplied back afterwards.
-    After that division some entry is 1, so lambda_max >= 1 and its
-    square root is always real.
+    Computed as sqrt(lambda_max) of the smaller Gram matrix (m^T m or
+    m m^T), from one symmetric eigensolve (dsyevr) restricted to that
+    eigenvalue: exact, with no random draws, and not understated when the
+    leading singular values are close. m is first divided by max|m|, so
+    entries near 1e+-200 neither overflow nor underflow when squared; after
+    that some entry is 1, so lambda_max >= 1 and its root is real.
     """
     m = _require_matrix(m, "matrix")
     ensure_finite(m, "matrix for spectral norm")

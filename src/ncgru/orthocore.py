@@ -1,58 +1,18 @@
-"""Skew-symmetric parameterization of orthogonal matrices and the
-truncated-Neumann incremental inverse that keeps it cheap to train.
+"""Orthogonal matrices in scaled Cayley form with a Neumann-advanced inverse.
 
-A recurrent weight is kept exactly orthogonal by never storing it directly.
-Instead we store a skew-symmetric A and a +/-1 diagonal scaling d and form
+    U = (I + A)^-1 (I - A) diag(d)       A skew, d in {+1, -1}^n
+    E = Atil @ dA,   Atil <- (I + E + ... + E^p) @ Atil   after A <- A - dA
 
-    U = (I + A)^-1 (I - A) diag(d).
+Atil caches (I + A)^-1, exact up to O(||E||^(p+1)) while ||E||_2 < 1. A
+step certifies that with ||E||_F >= ||E||_2 and computes the exact
+||E||_2 only when the certificate reaches 1 or the step is sampled; an
+uncertified step re-inverts instead of applying the series.
 
-I + A is always nonsingular (its eigenvalues are 1 + i*lambda with lambda
-real), so U exists for every skew A and is orthogonal by construction.
+The loss gradient reaches A as
 
-Training perturbs A by a small skew step dA per iteration. Refactorizing
-I + A each time costs a dense inverse, so the cached inverse
-Atil ~= (I + A)^-1 is advanced in place with a truncated Neumann series:
+    V = Atil^T @ dL/dU @ (diag(d) + U^T),   dL/dA = V^T - V
 
-    E = Atil @ dA
-    Atil <- (I + E + ... + E^p) @ Atil        after  A <- A - dA
-
-which is exact up to O(||E||^(p+1)) while ||E||_2 < 1. Each step proves
-that condition with ||E||_F, an O(n^2) reduction of the E it has already
-formed: ||E||_2 <= ||E||_F, so a Frobenius norm below 1 certifies the
-series. Only when the certificate reaches 1 is the exact ||E||_2 computed
-(about four n x n matmuls at n=256) and reported in its place; a value
->= 1 means the series would diverge, so that step takes an exact inverse
-instead, with or without periodic resets; only the diagnostics record it.
-sample=True asks for the exact ||E||_2 on a step regardless. An Adam step
-of size lr certifies at roughly lr * n (||Atil||_2 <= 1 for every skew
-A), so at lr 1e-3 a model with n >~ 1000 pays for the exact norm on every
-step. The diagnostics also carry the orthogonality defect of the
-refreshed U. Periodic exact-inverse resets (which skip the series) pull
-the accumulated truncation error back to machine precision.
-
-The exact arm re-inverts on every step, so E would feed only its
-diagnostics: it forms E, ||E||_F and ||E||_2 on sampled steps alone and
-reports a contraction of 0.0 (no series certified) on the others. On
-either arm a step that re-inverts assigns its new A, Atil and counters
-only once the inverse succeeded, so an inverse that fails leaves the
-state as it was.
-
-U is refreshed after every update. Right after an exact inverse (every
-exact-arm step, and every reset once the state has stepped) it is formed
-elementwise, U = (2 Atil - I) diag(d), since (I + A)^-1 (I - A) =
-2 (I + A)^-1 - I. Otherwise it is the product Atil (I - A) diag(d): a
-Neumann-advanced Atil is not an exact inverse, and a fresh state keeps the
-product because both arms start from it and a zero Neumann step must
-reproduce it bit for bit.
-
-Loss gradients reach A through the chain rule of the transform above:
-given dL/dU, with the cached inverse standing in for (I + A)^-T,
-
-    V = Atil^T @ dL/dU @ (diag(d) + U^T)
-    dL/dA = V^T - V
-
-so the pullback is skew-symmetric by construction and any optimizer that
-maps skew to skew keeps the parameterization closed.
+which is skew by construction.
 """
 
 from __future__ import annotations
@@ -70,35 +30,21 @@ _SKEW_ATOL = 1e-10
 _VALID_ORDERS = (1, 2, 3)
 
 
-def skew_from_angles(angles: np.ndarray, n: int) -> np.ndarray:
-    """Assemble a block-diagonal skew matrix from 2x2 rotation generators.
-
-    Each angle t contributes a block [[0, s], [-s, 0]] with
-    s = sqrt((1 - cos t) / (1 + cos t)); an odd n leaves a trailing 1x1
-    zero block.
+def init_skew(n: int, seed: int) -> np.ndarray:
+    """Random block-diagonal skew matrix whose Cayley image is a product of
+    mild pairwise rotations: angle t, drawn uniformly from [0, pi/2), gives
+    the block [[0, s], [-s, 0]] with s = sqrt((1 - cos t) / (1 + cos t)) =
+    tan(t/2) in [0, 1). An odd n leaves a trailing 1x1 zero block.
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape != (n // 2,):
-        raise ShapeError(f"need {n // 2} angles for size {n}, got {angles.shape}")
+    if n < 2:
+        raise ShapeError(f"hidden size must be at least 2, got {n}")
+    angles = np.random.default_rng(seed).uniform(0.0, np.pi / 2.0, n // 2)
     s = np.sqrt((1.0 - np.cos(angles)) / (1.0 + np.cos(angles)))
     a = np.zeros((n, n))
     idx = 2 * np.arange(n // 2)
     a[idx, idx + 1] = s
     a[idx + 1, idx] = -s
     return a
-
-
-def init_skew(n: int, seed: int) -> np.ndarray:
-    """Random block-diagonal skew matrix whose Cayley image starts as a
-    product of mild pairwise rotations.
-
-    Angles are drawn uniformly from [0, pi/2), so each block magnitude
-    s = tan(t/2) lies in [0, 1).
-    """
-    if n < 2:
-        raise ShapeError(f"hidden size must be at least 2, got {n}")
-    rng = np.random.default_rng(seed)
-    return skew_from_angles(rng.uniform(0.0, np.pi / 2.0, n // 2), n)
 
 
 def make_scaling(n: int, num_neg: int) -> np.ndarray:
@@ -216,12 +162,13 @@ class SkewOrthogonal:
         return self.a.shape[0]
 
     def _refresh_u(self) -> None:
-        """u by the module's refresh rule: (2 a_tilde - I) diag(d), in
-        O(n^2), right after an exact reset (steps_since_reset == 0 < step),
-        else the product a_tilde (I - A) diag(d). Step 0 keeps the product:
-        both arms start from that u, and a zero Neumann step must reproduce
-        it bit for bit. The elementwise u takes a_tilde's memory order,
-        which exact_inverse returns C-ordered."""
+        """u = (2 a_tilde - I) diag(d), in O(n^2), right after an exact
+        reset (steps_since_reset == 0 < step), since (I + A)^-1 (I - A) =
+        2 (I + A)^-1 - I; else the product a_tilde (I - A) diag(d), as a
+        Neumann-advanced a_tilde is not an exact inverse. Step 0 keeps the
+        product: both arms start from that u, and a zero Neumann step must
+        reproduce it bit for bit. The elementwise u takes a_tilde's memory
+        order, which exact_inverse returns C-ordered."""
         n, d = self.n, self.d
         if self.steps_since_reset == 0 < self.step:
             self.u = self.a_tilde * (2.0 * d)

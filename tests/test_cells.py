@@ -20,7 +20,7 @@ from ncgru.cells import (
     jacobian_h,
     modrelu,
     sequence_bptt,
-    sequence_forward,
+    sequence_states,
     sigmoid,
     step_store,
 )
@@ -145,8 +145,7 @@ def test_gru_state_stays_inside_unit_box():
     rng = np.random.default_rng(9)
     p = CellParams.init("gru", 12, 6, seed=10)
     xs = rng.normal(size=(50, 6, 1)) * 3.0
-    hs = sequence_forward(p, xs)
-    peak = max(float(np.max(np.abs(h))) for h in hs)
+    peak = max(float(np.max(np.abs(h))) for h in sequence_states(p, xs))
     assert peak <= 1.0
 
 
@@ -175,7 +174,7 @@ def test_vectors_are_rejected():
     with pytest.raises(ShapeError):
         cell_backward(p, cache, np.zeros(4))
     with pytest.raises(ShapeError):
-        sequence_forward(p, np.zeros((5, 3)))
+        list(sequence_states(p, np.zeros((5, 3))))
     with pytest.raises(ShapeError):
         sequence_bptt(p, [np.zeros(3)] * 5,
                       LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 1))))
@@ -183,8 +182,8 @@ def test_vectors_are_rejected():
 
 def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
     """sequence_bptt's step t cache holds step t-1's h_t itself, not a
-    copy; sequence_forward lets each step cache go by the step after next
-    and keeps none once it returns."""
+    copy; sequence_states lets each step cache go by the step after next
+    and keeps none once it is exhausted."""
     p = CellParams.init("ncgru", 4, 3, seed=28)
     xs = np.random.default_rng(29).normal(size=(6, 3, 2))
     forward = cells.cell_forward
@@ -212,7 +211,7 @@ def test_bptt_shares_states_and_forward_keeps_no_caches(monkeypatch):
         return out
 
     monkeypatch.setattr(cells, "cell_forward", watch)
-    hs = sequence_forward(p, xs)
+    hs = [h.copy() for h in sequence_states(p, xs)]
     gc.collect()
     assert len(hs) == len(refs) == 6
     assert max(live) <= 1
@@ -243,7 +242,7 @@ def test_reused_store_gives_the_fresh_store_result(variant):
         assert np.array_equal(got, want), name
     assert np.array_equal(reused_loss.grad_w, fresh_loss.grad_w)
     assert np.array_equal(reused_loss.grad_b, fresh_loss.grad_b)
-    assert np.array_equal(store[6], np.stack(sequence_forward(p, second)))
+    assert np.array_equal(store[6], np.stack([h.copy() for h in sequence_states(p, second)]))
 
 
 def test_store_of_another_shape_is_rejected_untouched():
@@ -368,12 +367,12 @@ def test_variant_mismatch_raises():
         jacobian_h(pn, cache)
 
 
-def test_sequence_forward_zero_initial_state():
+def test_sequence_states_zero_initial_state():
     p = CellParams.init("gru", 4, 3, seed=18)
     xs = np.zeros((6, 3, 1))
     for name, arr in p.named_arrays():
         arr[:] = 0.0
-    hs = sequence_forward(p, xs)
+    hs = [h.copy() for h in sequence_states(p, xs)]
     assert len(hs) == 6
     for h in hs:
         assert np.all(h == 0.0)
@@ -382,7 +381,7 @@ def test_sequence_forward_zero_initial_state():
 def test_sequence_rejects_empty():
     p = CellParams.init("gru", 4, 3, seed=18)
     with pytest.raises(ContractError):
-        sequence_forward(p, np.zeros((0, 3, 1)))
+        list(sequence_states(p, np.zeros((0, 3, 1))))
     with pytest.raises(ContractError):
         sequence_bptt(p, np.zeros((0, 3, 1)),
                       LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 1))))
@@ -423,9 +422,9 @@ def test_bptt_matches_finite_differences(variant):
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp = loss.loss_and_grads(sequence_forward(p, xs))[0]
+            lp = loss.loss(sequence_states(p, xs))
             flat[idx] = orig - eps
-            lm = loss.loss_and_grads(sequence_forward(p, xs))[0]
+            lm = loss.loss(sequence_states(p, xs))
             flat[idx] = orig
             fdflat[idx] = (lp - lm) / (2.0 * eps)
         got = dict(res.grads.named_arrays())[name]

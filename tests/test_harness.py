@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ncgru import harness, orthocore
-from ncgru.cells import sequence_bptt, sequence_forward, step_store
+from ncgru.cells import sequence_bptt, sequence_states, step_store
 from ncgru.cli import main
 from ncgru.codec import encode
 from ncgru.errors import ConfigError, ContractError, ShapeError
@@ -257,6 +257,29 @@ def test_run_byte_determinism(tmp_path):
     a = (tmp_path / "a" / "metrics.csv").read_bytes()
     b = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert a == b
+
+
+# each task's shortest T
+_MIN_T = {"adding": 2, "copying": 1, "parenthesis": 1, "denoise": 11}
+
+
+@pytest.mark.parametrize("task", sorted(_MIN_T))
+@pytest.mark.parametrize("model", [
+    {"variant": "GRU"},
+    *({"variant": "NC-GRU", "ortho_set": ["U_r", "U_u", "U_c"], "num_neg": k} for k in (0, 1, 2)),
+], ids=["gru", "ncgru_neg0", "ncgru_neg1", "ncgru_neg2"])
+def test_smallest_models_complete_and_rerun_byte_identical(tmp_path, task, model):
+    """hidden 2 at each task's shortest T completes, and a rerun writes the
+    same metrics.csv, orthogonal.csv and checkpoint.json."""
+    cfg = ExperimentConfig.from_dict({
+        "task": {"name": task, "T": _MIN_T[task]},
+        "model": {**model, "hidden": 2},
+        "optimizer": {"kind": "adam", "lr": 1e-3},
+        "train": {"iterations": 5, "batch_size": 3, "seed": 0, "eval_every": 2}})
+    for out in ("a", "b"):
+        assert run_training(cfg, out_dir=str(tmp_path / out)).status == "completed"
+    for name in ("metrics.csv", "orthogonal.csv", "checkpoint.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_run_seed_override_changes_results():
@@ -885,11 +908,23 @@ def test_readouts_reject_mis_shaped_targets(make):
     """Six steps of a (4, 5) state: the MSE wants (out, 5) targets (or (5,)
     when out is 1), the cross-entropy (5, 6); the loss-only pass over a
     stream of the states agrees."""
-    hs = [np.full((4, 5), 0.1)] * 6
+    block = np.full((6, 4, 5), 0.1)
     with pytest.raises(ContractError, match="targets shape"):
-        make().loss_and_grads(hs)
+        make().loss_and_grads(block)
     with pytest.raises(ContractError, match="targets shape"):
-        make().loss(iter(hs))
+        make().loss(iter(block))
+
+
+@pytest.mark.parametrize("method", ["loss", "loss_and_grads"])
+@pytest.mark.parametrize("bad", [-1, 3, 7, 1.7, np.nan])
+def test_softmax_readout_rejects_targets_that_are_not_classes(method, bad):
+    """With out = 3 a target is an integer in [0, 3): -1 is not scored as
+    the last class, 3 and 7 raise no IndexError, 1.7 is not truncated."""
+    targets = np.zeros((5, 6))
+    targets[2, 4] = bad
+    block = np.full((6, 4, 5), 0.1)
+    with pytest.raises(ContractError, match="class indices"):
+        getattr(SoftmaxReadoutXent(np.ones((3, 4)), np.zeros(3), targets), method)(block)
 
 
 @pytest.mark.parametrize("cls", [LinearReadoutMse, SoftmaxReadoutXent])
@@ -906,25 +941,18 @@ def test_readouts_reject_an_empty_sequence(cls, method, states):
     (SoftmaxReadoutXent, lambda rng: rng.integers(0, 3, (4, 7))),
 ], ids=["mse", "xent"])
 def test_readouts_score_a_block_as_its_list(cls, targets):
-    """loss_and_grads on the (T, n, B) block of states gives the loss, the
-    readout gradients and every step gradient of the list of those states,
-    bit for bit. The step gradients support len() and [-1], and keep
-    their values when the caller then updates w in place, as the
-    optimizer does."""
+    """loss_and_grads on the (T, n, B) block of states gives the loss the
+    loss-only pass gives on the list of those states, bit for bit. The
+    step gradients support len() and [-1], and keep their values when
+    the caller then updates w in place, as the optimizer does."""
     rng = np.random.default_rng(0)
     block = rng.standard_normal((7, 5, 4))
     w, b, y = rng.standard_normal((3, 5)), rng.standard_normal(3), targets(rng)
-    on_block, on_list = cls(w, b, y), cls(w, b, y)
-    loss, grads = on_block.loss_and_grads(block)
-    list_loss, list_grads = on_list.loss_and_grads(list(block))
-    assert loss == list_loss
-    assert np.array_equal(on_block.grad_w, on_list.grad_w)
-    assert np.array_equal(on_block.grad_b, on_list.grad_b)
-    assert len(grads) == len(list_grads) == 7
-    assert np.array_equal(grads[-1], grads[6])
+    loss, grads = cls(w, b, y).loss_and_grads(block)
+    assert loss == cls(w, b, y).loss(list(block))
+    assert len(grads) == 7
     read = [grads[t] for t in range(7)]
-    for g, want in zip(read, list_grads):
-        assert (g is None and want is None) or np.array_equal(g, want)
+    assert np.array_equal(grads[-1], read[6])
     w += 1.0
     for t, g in enumerate(read):
         assert (g is None and grads[t] is None) or np.array_equal(grads[t], g)
@@ -933,15 +961,17 @@ def test_readouts_score_a_block_as_its_list(cls, targets):
 @pytest.mark.parametrize("task", ["adding", "copying", "parenthesis"])
 def test_evaluate_streams_the_loss_bit_for_bit(task):
     """evaluate's streamed pass equals the readout's loss_and_grads on the
-    listed states, for the MSE (adding) and cross-entropy readouts."""
-    state = build_model(ExperimentConfig.from_dict(make_cfg(**{"task.name": task,
-                                                                "task.T": 12})))
-    for _ in train_steps(state):   # move the weights off their init
-        pass
-    batch = make_batch(task, 12, 7, seed=5)
-    hs = sequence_forward(state.params, batch.step_inputs())
-    want = harness.make_loss(state, batch).loss_and_grads(hs)[0]
-    assert harness.evaluate(state, batch) == want
+    block of states training scores, for the MSE (adding) and
+    cross-entropy readouts and both variants."""
+    for variant in ("NC-GRU", "GRU"):
+        state = build_model(ExperimentConfig.from_dict(make_cfg(**{
+            "task.name": task, "task.T": 12, "model.variant": variant})))
+        for _ in train_steps(state):   # move the weights off their init
+            pass
+        batch = make_batch(task, 12, 7, seed=5)
+        block = np.stack([h.copy() for h in sequence_states(state.params, batch.step_inputs())])
+        want = harness.make_loss(state, batch).loss_and_grads(block)[0]
+        assert harness.evaluate(state, batch) == want, variant
 
 
 def test_evaluate_memory_does_not_grow_with_the_sequence():

@@ -15,7 +15,6 @@ from ncgru.orthocore import (
     check_skew,
     init_skew,
     make_scaling,
-    skew_from_angles,
 )
 
 
@@ -23,18 +22,6 @@ def random_skew(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
     return (m - m.T) / 2.0
-
-
-def test_skew_from_angles_zero_angle():
-    a = skew_from_angles(np.zeros(2), 4)
-    assert np.all(a == 0.0)
-
-
-def test_skew_from_angles_right_angle():
-    # t = pi/2 gives s = sqrt((1-0)/(1+0)) = 1.
-    a = skew_from_angles(np.array([np.pi / 2.0]), 2)
-    assert abs(a[0, 1] - 1.0) < 1e-15
-    assert abs(a[1, 0] + 1.0) < 1e-15
 
 
 def test_init_skew_block_structure():
@@ -45,8 +32,12 @@ def test_init_skew_block_structure():
     for j in range(0, 6, 2):
         mask[j : j + 2, j : j + 2] = True
     assert np.all(a[~mask] == 0.0)
-    # Off-diagonal block entries obey |s| <= 1.
-    assert np.max(np.abs(a)) <= 1.0
+    # Angle t of block j, drawn from [0, pi/2), gives a[2j, 2j+1] = tan(t/2)
+    # in [0, 1); init_skew forms it as sqrt((1 - cos t) / (1 + cos t)).
+    angles = np.random.default_rng(3).uniform(0.0, np.pi / 2.0, 3)
+    upper = a[[0, 2, 4], [1, 3, 5]]
+    assert np.allclose(upper, np.tan(angles / 2.0), rtol=1e-12, atol=0.0)
+    assert np.all((upper >= 0.0) & (upper < 1.0))
 
 
 def test_init_skew_odd_dimension_trailing_zero():
