@@ -5,9 +5,9 @@ from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forwa
                     jacobian_h, modrelu, sequence_bptt, sequence_states, step_store)
 from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
                      NumericError, ShapeError, SingularMatrixError)
-from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState, build_model,
-                      load_checkpoint, run_ablation, run_gradcheck, run_training, save_checkpoint,
-                      train_steps)
+from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState,
+                      SoftmaxReadoutXent, build_model, load_checkpoint, run_ablation,
+                      run_gradcheck, run_training, save_checkpoint, train_steps)
 from .linalg import exact_inverse, fro_dist_identity, spectral_norm
 from .optim import Optimizer
 from .orthocore import (NeumannDiagnostics, SkewOrthogonal, cayley_transform,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "compute_bound", "saturation_sweep",
-    "BpttResult", "CellParams", "LinearReadoutMse", "StepCache",
+    "BpttResult", "CellParams", "LinearReadoutMse", "SoftmaxReadoutXent", "StepCache",
     "cell_backward", "cell_forward", "jacobian_h", "modrelu",
     "sequence_bptt", "sequence_states", "step_store",
     "ConfigError", "ContractError", "ConvergenceError", "NcgruError",

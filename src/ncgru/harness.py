@@ -35,6 +35,7 @@ _SKEW_SEED = {"u_r": 101, "u_u": 102, "u_c": 103}
 _READOUT_SEED = 104
 _EVAL_SEED = 1
 _BATCH_SEED_BASE = 2
+_LOGZ_STEPS = 32   # steps of SoftmaxReadoutXent's exp(logits) scratch
 
 METRICS_HEADER = "step,train_loss,eval_loss,drift,contraction_norm,wall_ms"
 ORTHO_HEADER = "step,weight,contraction_norm,spectral_norm,drift"
@@ -328,12 +329,20 @@ class SoftmaxReadoutXent:
         """(cross-entropy summed over the batch, one entry per step;
         max-shifted logits; log partition) of the (k, n, B) states hs of
         steps t0 .. t0 + k - 1: the one formula of loss_and_grads, which
-        applies it to all T states at once, and loss, one state at a time."""
+        applies it to all T states at once, and loss, one state at a time.
+        exp(logits) goes through a scratch of _LOGZ_STEPS steps, so the
+        logits are the only (k, out, B) array; each step's sum is the same
+        whatever k is."""
         k, _, batch = hs.shape
         logits = self.w @ hs
         logits += self.b[:, None]
         logits -= np.max(logits, axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(logits), axis=1))
+        logz = np.empty((k, batch))
+        scratch = np.empty((min(k, _LOGZ_STEPS),) + logits.shape[1:])
+        for s in range(0, k, _LOGZ_STEPS):
+            part = logits[s:s + _LOGZ_STEPS]
+            np.sum(np.exp(part, out=scratch[:len(part)]), axis=1, out=logz[s:s + len(part)])
+        np.log(logz, out=logz)
         picked = logits[np.arange(k)[:, None], self.targets[:, t0:t0 + k].T, np.arange(batch)]
         return np.sum(logz - picked, axis=1), logits, logz
 
@@ -483,7 +492,7 @@ def train_steps(state: RunState):
     eval_batch = make_batch(cfg.task.name, cfg.task.T,
                             cfg.train.eval_batch_size or cfg.train.batch_size,
                             cfg.train.seed + _EVAL_SEED)
-    store = step_store(params.n, eval_batch.inputs.shape[1], cfg.train.batch_size)
+    store = step_store(params.n, eval_batch.stream.shape[1], cfg.train.batch_size)
     for k in range(state.step + 1, cfg.train.iterations + 1):
         batch = make_batch(cfg.task.name, cfg.task.T, cfg.train.batch_size,
                            cfg.train.seed + _BATCH_SEED_BASE + k)
@@ -817,7 +826,7 @@ def _gradcheck_cell(seed: int, instances: int) -> dict:
 
             def value() -> float:
                 h1, _ = cell_forward(p, x, h)
-                return loss.loss_and_grads(h1[None])[0]
+                return loss.loss(h1[None])
 
             h1, cache = cell_forward(p, x, h)
             _, step_grads = loss.loss_and_grads(h1[None])

@@ -2,9 +2,11 @@
 
 Every generator is a pure function of (T, batch, seed) built on
 numpy.random.default_rng, so a batch is reproducible from its metadata
-alone. Inputs come out as float64 arrays of shape (batch, T_total, dim)
-with symbolic tasks one-hot encoded; targets are float scalars per sample
-for the adding task and per-step integer class indices otherwise.
+alone. A batch keeps its stream as generated: the adding task's float64
+channels, (batch, T, 2), or a symbolic task's int64 symbols, (batch,
+T_total), one-hot encoded into the task's input dim only where the cells
+read them (step_inputs, stream_step_inputs). Targets are float scalars per
+sample for the adding task and per-step integer class indices otherwise.
 
 Conventions, per task:
 
@@ -50,46 +52,67 @@ PARENTHESIS_PAIRS = 10
 PARENTHESIS_CAP = 10
 DENOISE_ALPHABET = 10
 _COPY_DIGITS = 8
+_STREAM_STEPS = 32   # steps per array that stream_step_inputs makes
 
 
 @dataclass
 class TaskBatch:
     """One generated batch plus the metadata that reproduces it.
 
-    inputs: (batch, T_total, dim) float64.
+    stream: (batch, T, 2) float64 channels for the adding task, else the
+        (batch, T_total) int64 symbols, each a class of the input dim.
     targets: (batch,) float for loss_kind "mse", else (batch, T_total) int.
     """
 
     task: str
     T: int
     seed: int
-    inputs: np.ndarray
+    stream: np.ndarray
     targets: np.ndarray
     loss_kind: str
 
     @property
     def batch_size(self) -> int:
-        return self.inputs.shape[0]
+        return self.stream.shape[0]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """(batch, T_total, dim) float64; a symbolic task's is one-hot
+        encoded afresh on every read."""
+        return _one_hot(self.stream, task_dims(self.task)[0]) if self._symbolic else self.stream
+
+    @property
+    def _symbolic(self) -> bool:
+        return self.stream.dtype.kind == "i"
 
     def step_inputs(self) -> list[np.ndarray]:
         """Per-step (dim, batch) columns: C-contiguous views of one
-        (T_total, dim, batch) transposed copy of inputs."""
-        return list(np.ascontiguousarray(self.inputs.transpose(1, 2, 0)))
+        (T_total, dim, batch) array, a symbolic task's one-hot written
+        straight from its symbols."""
+        return list(self._columns(slice(None)))
 
     def stream_step_inputs(self):
-        """The columns of step_inputs one at a time, each a C-contiguous
-        copy made when the iteration reaches its step, so a pass over them
-        holds O(dim * batch) for any T_total."""
-        for t in range(self.inputs.shape[1]):
-            yield np.ascontiguousarray(self.inputs[:, t, :].T)
+        """The columns of step_inputs one at a time, made _STREAM_STEPS
+        steps at a time when the iteration reaches them, so a pass over
+        them holds O(dim * batch) for any T_total."""
+        for t in range(0, self.stream.shape[1], _STREAM_STEPS):
+            yield from self._columns(slice(t, t + _STREAM_STEPS))
+
+    def _columns(self, steps: slice) -> np.ndarray:
+        """The C-contiguous (len(steps), dim, batch) float64 inputs of steps."""
+        if self._symbolic:
+            return _one_hot(self.stream[:, steps].T, task_dims(self.task)[0], axis=1)
+        return np.ascontiguousarray(self.stream[:, steps].transpose(1, 2, 0))
 
 
-def _one_hot(classes: np.ndarray, depth: int) -> np.ndarray:
-    b, t = classes.shape
-    out = np.zeros((b, t, depth))
-    rows = np.repeat(np.arange(b), t)
-    cols = np.tile(np.arange(t), b)
-    out[rows, cols, classes.ravel()] = 1.0
+def _one_hot(classes: np.ndarray, depth: int, axis: int = -1) -> np.ndarray:
+    """float64 one-hot of int classes, its axis of length depth at
+    position axis of the result."""
+    axis %= classes.ndim + 1
+    index = list(np.indices(classes.shape, sparse=True))
+    index.insert(axis, classes)
+    out = np.zeros(classes.shape[:axis] + (depth,) + classes.shape[axis:])
+    out[tuple(index)] = 1.0
     return out
 
 
@@ -115,7 +138,7 @@ def gen_adding(T: int, batch: int, seed: int) -> TaskBatch:
     inputs[rows, first, 0] = 1.0
     inputs[rows, second, 0] = 1.0
     targets = inputs[rows, first, 1] + inputs[rows, second, 1]
-    return TaskBatch(task="adding", T=T, seed=seed, inputs=inputs,
+    return TaskBatch(task="adding", T=T, seed=seed, stream=inputs,
                      targets=targets, loss_kind="mse")
 
 
@@ -129,8 +152,7 @@ def gen_copying(T: int, batch: int, seed: int) -> TaskBatch:
     stream[:, T + 10] = 9
     targets = np.zeros((batch, total), dtype=np.int64)
     targets[:, T + 10:] = digits
-    inputs = _one_hot(stream, 10)
-    return TaskBatch(task="copying", T=T, seed=seed, inputs=inputs,
+    return TaskBatch(task="copying", T=T, seed=seed, stream=stream,
                      targets=targets, loss_kind="xent")
 
 
@@ -163,8 +185,7 @@ def gen_parenthesis(T: int, batch: int, seed: int) -> TaskBatch:
                     sym = 2 * k + 1
             symbols[b, t] = sym
             targets[b, t] = min(depth, PARENTHESIS_CAP)
-    inputs = _one_hot(symbols, noise + 1)
-    return TaskBatch(task="parenthesis", T=T, seed=seed, inputs=inputs,
+    return TaskBatch(task="parenthesis", T=T, seed=seed, stream=symbols,
                      targets=targets, loss_kind="xent")
 
 
@@ -181,8 +202,7 @@ def gen_denoise(T: int, batch: int, seed: int) -> TaskBatch:
         stream[b, pos] = sym
         targets[b, T:] = sym
     stream[:, T] = marker
-    inputs = _one_hot(stream, DENOISE_ALPHABET + 2)
-    return TaskBatch(task="denoise", T=T, seed=seed, inputs=inputs,
+    return TaskBatch(task="denoise", T=T, seed=seed, stream=stream,
                      targets=targets, loss_kind="xent")
 
 
@@ -224,9 +244,9 @@ def memoryless_copying_xent(batch: TaskBatch) -> float:
         raise ContractError(f"memoryless strategy defined for copying, got {batch.task!r}")
     marker_seen = np.zeros(batch.batch_size, dtype=bool)
     total = 0.0
-    steps = batch.inputs.shape[1]
+    steps = batch.stream.shape[1]
     for t in range(steps):
-        marker_seen |= batch.inputs[:, t, 9] == 1.0
+        marker_seen |= batch.stream[:, t] == 9
         tgt = batch.targets[:, t]
         # CE is ln(8) when mass is uniform over digits, 0 for a certain
         # correct blank; a wrong certain prediction would be infinite and
@@ -259,8 +279,8 @@ def dump_jsonl(batch: TaskBatch, path) -> int:
     """Write one JSON object per sample; returns the number of lines.
 
     Schema: {"task", "T", "seed", "input", "target"} with input as a
-    (T_total, dim) nested list and target as a flat list (single-element
-    for the scalar task).
+    (T_total, dim) nested list (one-hot rows for a symbolic task) and
+    target as a flat list (single-element for the scalar task).
     """
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(batch.batch_size):
@@ -268,7 +288,10 @@ def dump_jsonl(batch: TaskBatch, path) -> int:
                 target = [float(batch.targets[i])]
             else:
                 target = [int(v) for v in batch.targets[i]]
+            sample = batch.stream[i]
+            if batch._symbolic:
+                sample = _one_hot(sample, task_dims(batch.task)[0])
             rec = {"task": batch.task, "T": batch.T, "seed": batch.seed,
-                   "input": batch.inputs[i].tolist(), "target": target}
+                   "input": sample.tolist(), "target": target}
             fh.write(json.dumps(rec) + "\n")
     return batch.batch_size

@@ -991,6 +991,44 @@ def test_evaluate_memory_does_not_grow_with_the_sequence():
     assert peaks[500] < 2 * peaks[50], peaks
 
 
+def test_held_out_copying_batch_holds_symbols_not_one_hot():
+    """Drawing a held-out copying batch at T=2000 and evaluating it peaks
+    below half of its (T_total, dim, B) float64 one-hot: the batch keeps
+    (B, T_total) symbols and evaluation encodes a few dozen steps at a
+    time."""
+    T, batch_size, dim = 2000, 64, 10
+    state = build_model(ExperimentConfig.from_dict(make_cfg(**{"task.name": "copying",
+                                                                "task.T": T})))
+    tracemalloc.start()
+    try:
+        batch = make_batch("copying", T, batch_size, seed=3)
+        harness.evaluate(state, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (T + 20) * dim * batch_size * 8 / 2, peak
+
+
+def test_softmax_readout_bounds_its_exp_scratch():
+    """loss_and_grads on a block of sixteen scratch lengths of steps peaks
+    below 1.5 T out B 8 bytes: the logits, which become the probabilities
+    in place, are the only (T, out, B) array, and exp(logits) goes through
+    a scratch of _LOGZ_STEPS steps. The (T, B) temporaries of the loss
+    take a few 1/out of that, so out is 32."""
+    steps, n, out, batch_size = 16 * harness._LOGZ_STEPS, 4, 32, 3
+    rng = np.random.default_rng(0)
+    hs = rng.standard_normal((steps, n, batch_size))
+    loss = SoftmaxReadoutXent(rng.standard_normal((out, n)), rng.standard_normal(out),
+                              rng.integers(0, out, (batch_size, steps)))
+    tracemalloc.start()
+    try:
+        loss.loss_and_grads(hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * steps * out * batch_size * 8, peak
+
+
 def test_bptt_memory_holds_no_per_step_gradients():
     """One sequence_bptt call on a copying batch with a preallocated store
     peaks below T n B 8 bytes of allocation, the size of a list of the

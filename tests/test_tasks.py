@@ -212,6 +212,31 @@ def test_step_inputs_layout():
         assert np.array_equal(s, want)
 
 
+@pytest.mark.parametrize("task,total", [("copying", 35), ("parenthesis", 15), ("denoise", 25)])
+def test_symbolic_step_inputs_are_the_one_hot_of_the_symbols(task, total):
+    """A symbolic batch keeps its (B, T_total) symbols; step_inputs writes
+    one C-contiguous (T_total, dim, B) one-hot whose steps are views of it,
+    and stream_step_inputs makes the same columns as the pass reaches
+    them (35 steps cross a _STREAM_STEPS boundary)."""
+    batch = make_batch(task, T=15, batch=4, seed=8)
+    dim = task_dims(task)[0]
+    assert batch.stream.shape == (4, total) and batch.stream.dtype == np.int64
+    want = np.eye(dim)[batch.stream]
+    assert np.array_equal(batch.inputs, want)
+    steps = batch.step_inputs()
+    assert len(steps) == total
+    assert steps[0].base.shape == (total, dim, 4)
+    assert steps[0].base.flags.c_contiguous
+    streamed = list(batch.stream_step_inputs())
+    assert len(streamed) == total
+    for t, (s, one) in enumerate(zip(steps, streamed)):
+        assert s.base is steps[0].base
+        assert one.shape == (dim, 4) and one.flags.c_contiguous
+        assert s.dtype == one.dtype == np.float64
+        assert np.array_equal(s, want[:, t, :].T)
+        assert np.array_equal(one, want[:, t, :].T)
+
+
 def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "adding.jsonl"
     batch = gen_adding(T=6, batch=3, seed=10)
