@@ -6,12 +6,40 @@ NaN or Inf result rather than let it into a training run.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork, dsyevr, dsyevr_lwork
 
 from .errors import NumericError, ShapeError, SingularMatrixError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers (scipy.linalg._flapack), loaded
+    from their extension file without running the package imports of
+    scipy or scipy.linalg, which cost each process about 0.2 s and 25 MB
+    (README, Install). scipy.linalg.lapack re-exports these very objects,
+    so every call is the one it would make. Raises ImportError when the
+    file is missing; there is no second path.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("ncgru needs scipy for its LAPACK wrappers; scipy not found")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetri, dgetri_lwork = _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork
+dsyevr, dsyevr_lwork = _flapack.dsyevr, _flapack.dsyevr_lwork
 
 # Pivot below this multiple of the Frobenius norm means the factorization
 # carries no usable information about the inverse.

@@ -1,15 +1,20 @@
 """Dense linear algebra kernel tests.
 
-Oracles: scipy eigenvalues for spectral norms and hand-computed small
-inverses.
+Oracles: scipy eigenvalues for spectral norms, scipy.linalg.lapack's
+dgetrf/dgetri for the inverse's bits, and hand-computed small inverses.
 """
 
+import importlib.machinery
+import importlib.util
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
+from ncgru import linalg
 from ncgru.errors import NumericError, ShapeError, SingularMatrixError
 from ncgru.linalg import (
     ensure_finite,
@@ -86,6 +91,33 @@ def test_exact_inverse_is_c_ordered_at_n256():
         assert inv.flags.c_contiguous
         assert np.linalg.norm(m @ inv - eye, "fro") < 1e-10 * n
         assert np.linalg.norm(inv @ m - eye, "fro") < 1e-10 * n
+
+
+@pytest.mark.parametrize("n", [1, 32, 96, 256])
+def test_exact_inverse_is_scipy_lapack_bit_for_bit(n):
+    """ncgru loads scipy's LAPACK extension without scipy.linalg; the
+    inverse must be the one scipy.linalg.lapack's dgetrf/dgetri give, in
+    a process that imports scipy.linalg too."""
+    rng = np.random.default_rng(15)
+    g = rng.normal(size=(n, n))
+    m = np.eye(n) + (g - g.T) / 2.0
+    lapack = scipy.linalg.lapack
+    lu, piv, _ = lapack.dgetrf(m.T)
+    lwork, _ = lapack.dgetri_lwork(n)
+    want = lapack.dgetri(lu, piv, lwork=int(lwork))[0].T
+    assert np.array_equal(exact_inverse(m), want)
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, tmp_path):
+    # no fallback to scipy.linalg: the error names the directory searched
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        linalg._load_flapack()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy not found"):
+        linalg._load_flapack()
 
 
 def test_exact_inverse_overflowing_norm_is_numeric_error():
