@@ -15,6 +15,15 @@ cell_forward writes a step's seven (n, B) rows (pre_r, pre_u, pre_c, r,
 u, c, h_t) into a (7, n, B) slot; its StepCache and h_t are views of them,
 valid until the slot is written again. A step store, step_store(n, T, B),
 is T slots, store[:, t] being step t's.
+
+sequence_bptt does the work that does not depend on h once per sequence:
+W_g x_t of all T steps before the loop, one batched matmul per gate into
+the pre rows, and the input-weight and bias gradients after it. Each
+backward step writes its gate gradients over slot rows it has finished
+reading (pre_c: modReLU's dL/db_c term, r: dL/dpre_r, u: dL/dpre_u,
+c: dL/dpre_c), and the reduction adds them up in the per-step order, bit
+for bit. Once sequence_bptt returns, only the h_t rows still hold
+activations; pre_r and pre_u keep the gate pre-activations.
 """
 
 from __future__ import annotations
@@ -122,7 +131,9 @@ class StepCache:
     candidate slope.
 
     x_t and h_prev are the arrays the step was given; the other seven are
-    views of the step's slot.
+    views of the step's slot. Inside sequence_bptt, backward overwrites
+    the pre_c, r_t, u_t and c_t rows with the step's gate gradients, so
+    of a sequence's caches only h_t, pre_r and pre_u outlive the call.
     """
 
     x_t: np.ndarray
@@ -139,17 +150,32 @@ class StepCache:
 
 # The rows of a step slot, in the order cell_forward writes them.
 _SLOT_ROWS = ("pre_r", "pre_u", "pre_c", "r_t", "u_t", "c_t", "h_t")
+# The slot rows pre_c, r_t, u_t and c_t that take a step's gate gradients.
+_GATE_ROWS = slice(2, 6)
+# Steps per batched input-gradient product: a (32, n, m) buffer, not (T, n, m).
+_CHUNK = 32
 
 
 def step_store(n: int, steps: int, batch: int) -> np.ndarray:
     """Uninitialised room for the activations of `steps` forward steps of
     an n-unit cell at batch size B: a (7, steps, n, B) float64 array whose
-    store[:, t] is step t's slot."""
+    store[:, t] is step t's slot. sequence_bptt leaves it holding the
+    states h_t in store[6], the gate pre-activations in store[0:2], and
+    gate gradients in store[2:6] of every step backward reached."""
     return np.empty((len(_SLOT_ROWS), steps, n, batch))
 
 
+def _project(p: CellParams, x: np.ndarray, pre: np.ndarray) -> None:
+    """W_r x, W_u x and W_c x into pre[0], pre[1] and pre[2]: one step's
+    (m, B) inputs into a slot's rows, or a sequence's (T, m, B) inputs into
+    a store's, one batched matmul per gate."""
+    for w, out in zip((p.w_r, p.w_u, p.w_c), pre):
+        np.matmul(w, x, out=out)
+
+
 def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
-                 slot: np.ndarray | None = None) -> tuple[np.ndarray, StepCache]:
+                 slot: np.ndarray | None = None,
+                 bias: np.ndarray | None = None) -> tuple[np.ndarray, StepCache]:
     """One step of the cell named by p.variant.
 
     x_t is (m, B) and h_prev is (n, B); returns h_t (n, B) and the cache.
@@ -157,6 +183,10 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     float64 array such as store[:, t] of a step_store, or into a fresh
     one when slot is None; h_t and the cache's other activations are
     views of it.
+    bias is sequence_bptt's form of the step: b_r, b_u and b_c broadcast
+    to a (3, n, B) array once per sequence, with slot's pre_r, pre_u and
+    pre_c rows already holding W_r x_t, W_u x_t and W_c x_t. Without it
+    the step projects x_t itself.
     """
     x = np.asarray(x_t, dtype=np.float64)
     h = np.asarray(h_prev, dtype=np.float64)
@@ -173,23 +203,22 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
         slot = np.empty(want)
     elif slot.shape != want or slot.dtype != np.float64:
         raise ShapeError(f"slot is {slot.dtype} {slot.shape}, the step needs float64 {want}")
+    if bias is None:
+        _project(p, x, slot[:3])
+        bias = (p.b_r[:, None], p.b_u[:, None], p.b_c[:, None])
     pre_r, pre_u, pre_c, r, u, c, h_t = slot
 
-    np.matmul(p.w_r, x, out=pre_r)
     pre_r += p.u_r @ h
-    pre_r += p.b_r[:, None]
-    np.matmul(p.w_u, x, out=pre_u)
+    pre_r += bias[0]
     pre_u += p.u_u @ h
-    pre_u += p.b_u[:, None]
-    sigmoid(pre_r, out=r)
-    sigmoid(pre_u, out=u)
-    np.matmul(p.w_c, x, out=pre_c)
+    pre_u += bias[1]
+    sigmoid(slot[:2], out=slot[3:5])
     pre_c += p.u_c @ (r * h)
     if p.variant == "gru":
-        pre_c += p.b_c[:, None]
+        pre_c += bias[2]
         np.tanh(pre_c, out=c)
     elif p.variant == "ncgru":
-        modrelu(pre_c, p.b_c[:, None], out=c)
+        modrelu(pre_c, bias[2], out=c)
     else:
         raise ContractError(f"unknown variant {p.variant!r}")
     np.subtract(1.0, u, out=h_t)
@@ -208,12 +237,17 @@ def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
 
 
 def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
-                  into: CellParams | None = None) -> tuple[CellParams, np.ndarray]:
+                  into: CellParams | None = None,
+                  gates: np.ndarray | None = None) -> tuple[CellParams, np.ndarray]:
     """Backpropagate dL/dh_t through one step.
 
     Returns (weight gradients in a CellParams, dL/dh_{t-1}). Bias gradients
     are summed over the batch. When into is given, gradients accumulate
     there (and it is also returned), which is what the sequence loop uses.
+    gates is sequence_bptt's form of the step: the view slot[2:6] of the
+    cache's own slot, where the step writes its gate gradients, each row
+    after its last read, and leaves the input-weight and bias gradients to
+    the caller. Without gates the step adds them itself.
     """
     if p.variant != cache.variant:
         raise ContractError(
@@ -222,34 +256,58 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     if g_h.shape != cache.h_t.shape:
         raise ShapeError(f"grad_h shape {g_h.shape} does not match h_t {cache.h_t.shape}")
     g = into if into is not None else _zeros_like(p)
+    own_gates = gates is None
+    if own_gates:
+        gates = np.empty((4,) + g_h.shape)
+    g_b_c, g_pre_r, g_pre_u, g_pre_c = gates
 
     h, r, u, c = cache.h_prev, cache.r_t, cache.u_t, cache.c_t
     g_u_gate = g_h * (c - h)
-    g_c = g_h * u
     g_hprev = g_h * (1.0 - u)
-
-    g_pre_c = g_c * _candidate_slope(p, cache)
-    # modReLU adds b_c to |pre_c|, so its gradient picks up sign(pre_c)
-    g_b_c = g_pre_c * np.sign(cache.pre_c) if p.variant == "ncgru" else g_pre_c
-    g.b_c += np.sum(g_b_c, axis=1)
-    rh = r * h
-    g.w_c += g_pre_c @ cache.x_t.T
-    g.u_c += g_pre_c @ rh.T
+    slope = _candidate_slope(p, cache)
+    np.multiply(g_h, u, out=g_pre_c)
+    g_pre_c *= slope
+    if p.variant == "ncgru":
+        # modReLU adds b_c to |pre_c|, so its gradient picks up sign(pre_c)
+        np.multiply(g_pre_c, np.sign(cache.pre_c), out=g_b_c)
+    g.u_c += g_pre_c @ (r * h).T
     g_rh = p.u_c.T @ g_pre_c
     g_r_gate = g_rh * h
     g_hprev += g_rh * r
 
-    g_pre_u = g_u_gate * u * (1.0 - u)
-    g_pre_r = g_r_gate * r * (1.0 - r)
-    g.w_u += g_pre_u @ cache.x_t.T
+    np.multiply(g_u_gate * u, 1.0 - u, out=g_pre_u)
+    np.multiply(g_r_gate * r, 1.0 - r, out=g_pre_r)
     g.u_u += g_pre_u @ h.T
-    g.b_u += np.sum(g_pre_u, axis=1)
-    g.w_r += g_pre_r @ cache.x_t.T
     g.u_r += g_pre_r @ h.T
-    g.b_r += np.sum(g_pre_r, axis=1)
     g_hprev += p.u_u.T @ g_pre_u + p.u_r.T @ g_pre_r
-
+    if own_gates:
+        _input_grads(p, g, cache.x_t[None], gates[:, None])
     return g, g_hprev
+
+
+def _input_grads(p: CellParams, g: CellParams, x: np.ndarray, gates: np.ndarray) -> None:
+    """Add to g the input-weight and bias gradients of k steps, given their
+    (k, m, B) inputs x and their (4, k, n, B) gate gradients as
+    cell_backward writes them. Step k-1's enter first and step 0's last,
+    so g gets the bits of k per-step accumulations in backward order."""
+    steps, n = gates.shape[1:3]
+    xt = x.transpose(0, 2, 1)
+    weight_parts = np.empty((steps, n, x.shape[1]))
+    for acc, g_pre in zip((g.w_r, g.w_u, g.w_c), gates[1:]):
+        _fold(acc, np.matmul(g_pre, xt, out=weight_parts))
+    bias_parts = np.empty((steps, n))
+    g_b_c = gates[0] if p.variant == "ncgru" else gates[3]
+    for acc, g_pre in zip((g.b_r, g.b_u, g.b_c), (gates[1], gates[2], g_b_c)):
+        _fold(acc, np.sum(g_pre, axis=2, out=bias_parts))
+
+
+def _fold(acc: np.ndarray, parts: np.ndarray) -> None:
+    """acc += parts[-1], then parts[-2], ..., parts[0], one add at a time:
+    the running sum enters the last slice and accumulates down from it."""
+    np.add(acc, parts[-1], out=parts[-1])
+    down = parts[::-1]
+    np.add.accumulate(down, axis=0, out=down)
+    acc[...] = parts[0]
 
 
 def _columns(x) -> np.ndarray:
@@ -260,29 +318,40 @@ def _columns(x) -> np.ndarray:
     return x
 
 
-def _unroll(p: CellParams, inputs, store: np.ndarray | None = None):
-    """Yield the cache of every step from h_0 = 0, reading inputs one step
-    at a time. Step t is written into slot t % S of the (7, S, n, B)
-    store; without one, a two-slot store is made for the first step's B."""
-    h = None
-    for t, x in enumerate(inputs):
-        if h is None:
-            x = _columns(x)
-            if store is None:
-                store = step_store(p.n, 2, x.shape[1])
-            h = np.zeros((p.n, x.shape[1]))
-        h, cache = cell_forward(p, x, h, store[:, t % store.shape[1]])
-        yield cache
-    if h is None:
-        raise ContractError("input sequence is empty")
-
-
 def sequence_states(p: CellParams, inputs):
     """Yield the hidden states h_1 .. h_T from h_0 = 0, reading inputs (any
     iterable of per-step (m, B) arrays) as it goes, through a two-slot
     store: h_t is overwritten by step t + 2, so the pass holds O(n B)."""
-    for cache in _unroll(p, inputs):
-        yield cache.h_t
+    h = None
+    for t, x in enumerate(inputs):
+        if h is None:
+            x = _columns(x)
+            store = step_store(p.n, 2, x.shape[1])
+            h = np.zeros((p.n, x.shape[1]))
+        h, _ = cell_forward(p, x, h, store[:, t % 2])
+        yield h
+    if h is None:
+        raise ContractError("input sequence is empty")
+
+
+def _sequence_inputs(p: CellParams, inputs) -> np.ndarray:
+    """inputs as a C-contiguous float64 (T, m, B) array, checked whole: an
+    empty sequence is a ContractError, a mis-shaped or ragged step a
+    ShapeError."""
+    if not isinstance(inputs, np.ndarray):
+        steps = [np.asarray(x, dtype=np.float64) for x in inputs]
+        shapes = sorted({x.shape for x in steps})
+        if len(shapes) > 1:
+            raise ShapeError(f"step inputs differ in shape: {shapes}")
+        inputs = np.array(steps)
+    xs = np.ascontiguousarray(inputs, dtype=np.float64)
+    if xs.shape[:1] == (0,):
+        raise ContractError("input sequence is empty")
+    if xs.ndim != 3:
+        raise ShapeError(f"step inputs must be 2-D (m, B) columns, got ndim {xs.ndim - 1}")
+    if xs.shape[1] != p.m:
+        raise ShapeError(f"x_t has {xs.shape[1]} features, cell expects {p.m}")
+    return xs
 
 
 @dataclass
@@ -296,40 +365,52 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
     """Full backpropagation through time from h_0 = 0.
 
     inputs is a sequence of per-step (m, B) arrays or an ndarray with time
-    on axis 0. loss.loss_and_grads(hs) gets the store's (T, n, B) block of
-    h_1 .. h_T and returns (scalar, step gradients): a length-T sequence
-    whose entry t, read once when backward reaches step t, is dL/dh_t
-    (n, B) or None for zero.
-    store, step_store(p.n, T, B), is overwritten with the T steps'
-    activations; any other shape or dtype is a ShapeError, and without one
-    the call makes a fresh store.
+    on axis 0, checked whole before anything is written.
+    loss.loss_and_grads(hs) gets the store's (T, n, B) block of h_1 .. h_T
+    and returns (scalar, step gradients): a length-T sequence whose entry
+    t, read once when backward reaches step t, is dL/dh_t (n, B) or None
+    for zero.
+    store, step_store(p.n, T, B), is overwritten; any other shape or dtype
+    is a ShapeError, and without one the call makes a fresh store. The
+    forward writes the T steps' activations there, and backward writes
+    each reached step's gate gradients over its pre_c, r, u and c rows, so
+    on return only the h_t rows, store[6], still hold activations.
     """
-    xs = list(inputs)
-    if not xs:
-        raise ContractError("input sequence is empty")
-    batch = _columns(xs[0]).shape[1]
+    xs = _sequence_inputs(p, inputs)
+    steps, _, batch = xs.shape
     if store is None:
-        store = step_store(p.n, len(xs), batch)
-    want = (len(_SLOT_ROWS), len(xs), p.n, batch)
+        store = step_store(p.n, steps, batch)
+    want = (len(_SLOT_ROWS), steps, p.n, batch)
     if store.shape != want or store.dtype != np.float64:
         raise ShapeError(f"step store is {store.dtype} {store.shape}, "
                          f"this call needs float64 {want}")
-    caches = list(_unroll(p, xs, store))
+    bias = np.stack((p.b_r, p.b_u, p.b_c))[:, :, None].repeat(batch, axis=2)
+    _project(p, xs, store[:3])
+    h = np.zeros((p.n, batch))
+    caches = []
+    for t in range(steps):
+        h, cache = cell_forward(p, xs[t], h, store[:, t], bias)
+        caches.append(cache)
 
     loss_value, step_grads = loss.loss_and_grads(store[_SLOT_ROWS.index("h_t")])
-    if len(step_grads) != len(xs):
+    if len(step_grads) != steps:
         raise ContractError(
-            f"loss returned {len(step_grads)} step gradients for {len(xs)} steps")
+            f"loss returned {len(step_grads)} step gradients for {steps} steps")
 
     grads = _zeros_like(p)
     g_h = None
-    for t in range(len(xs) - 1, -1, -1):
+    reached = 0   # backward ran steps reached - 1 .. 0
+    for t in range(steps - 1, -1, -1):
         inject = step_grads[t]
         if inject is not None:
             g_h = inject if g_h is None else g_h + inject
         if g_h is None:
             continue
-        grads, g_h = cell_backward(p, caches[t], g_h, into=grads)
+        reached = reached or t + 1
+        grads, g_h = cell_backward(p, caches[t], g_h, grads, store[_GATE_ROWS, t])
+    for end in range(reached, 0, -_CHUNK):
+        begin = max(end - _CHUNK, 0)
+        _input_grads(p, grads, xs[begin:end], store[_GATE_ROWS, begin:end])
     return BpttResult(loss=float(loss_value), grads=grads)
 
 

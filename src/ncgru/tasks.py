@@ -85,11 +85,11 @@ class TaskBatch:
     def _symbolic(self) -> bool:
         return self.stream.dtype.kind == "i"
 
-    def step_inputs(self) -> list[np.ndarray]:
-        """Per-step (dim, batch) columns: C-contiguous views of one
-        (T_total, dim, batch) array, a symbolic task's one-hot written
-        straight from its symbols."""
-        return list(self._columns(slice(None)))
+    def step_inputs(self) -> np.ndarray:
+        """The C-contiguous (T_total, dim, batch) float64 inputs, entry t
+        being step t's (dim, batch) columns; a symbolic task's one-hot is
+        written straight from its symbols."""
+        return self._columns(slice(None))
 
     def stream_step_inputs(self):
         """The columns of step_inputs one at a time, made _STREAM_STEPS

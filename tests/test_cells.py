@@ -259,6 +259,19 @@ def test_store_of_another_shape_is_rejected_untouched():
         assert np.all(np.isnan(store))
     with pytest.raises(ShapeError, match="slot"):
         cell_forward(p, xs[0], np.zeros((5, 4)), step_store(5, 1, 3)[:, 0])
+    # A mis-shaped step anywhere in the input is found before step 0 runs.
+    store = step_store(5, 7, 4)
+    for bad in (np.zeros((3, 3)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 3, 4))):
+        ragged = list(xs)
+        ragged[5] = bad
+        store[...] = np.nan
+        with pytest.raises(ShapeError, match="step inputs"):
+            sequence_bptt(p, ragged, loss, store)
+        assert np.all(np.isnan(store))
+    for bad in (xs[:, :2], xs[..., 0], xs[None]):
+        with pytest.raises(ShapeError):
+            sequence_bptt(p, bad, loss, store)
+        assert np.all(np.isnan(store))
 
 
 def test_batched_forward_equals_loop():
@@ -376,6 +389,110 @@ def test_sequence_states_zero_initial_state():
     assert len(hs) == 6
     for h in hs:
         assert np.all(h == 0.0)
+
+
+class _ScoredPrefix:
+    """A readout that scores only the first `scored` states: dL/dh_t is
+    None for every later step, so backward starts below step T - 1."""
+
+    def __init__(self, readout, scored):
+        self.readout = readout
+        self.scored = scored
+
+    def loss_and_grads(self, hs):
+        value, grads = self.readout.loss_and_grads(hs[:self.scored])
+        return value, list(grads) + [None] * (len(hs) - self.scored)
+
+
+def _reference_bptt(p, xs, loss):
+    """BPTT as a loop of public one-step calls, each with a fresh slot and
+    its own input-weight and bias gradients: the per-step order that
+    sequence_bptt's per-sequence reductions must reproduce bit for bit."""
+    h = np.zeros((p.n, xs.shape[2]))
+    caches = []
+    for x in xs:
+        h, cache = cell_forward(p, x, h)
+        caches.append(cache)
+    value, step_grads = loss.loss_and_grads(np.stack([c.h_t for c in caches]))
+    grads = dataclasses.replace(p, **{name: np.zeros_like(a) for name, a in p.named_arrays()})
+    g_h = None
+    for t in range(len(xs) - 1, -1, -1):
+        inject = step_grads[t]
+        if inject is not None:
+            g_h = inject if g_h is None else g_h + inject
+        if g_h is not None:
+            grads, g_h = cell_backward(p, caches[t], g_h, into=grads)
+    return value, grads
+
+
+@pytest.mark.parametrize("variant", ["gru", "ncgru"])
+@pytest.mark.parametrize("readout", ["mse", "xent"])
+def test_bptt_equals_the_per_step_loop_byte_for_byte(variant, readout):
+    """sequence_bptt projects the inputs and reduces the input-weight and
+    bias gradients once per sequence, in chunks of 32 steps; its loss, the
+    nine cell gradients and the readout's gradients equal the per-step
+    loop's byte for byte. The lengths cross the chunk boundary, and a
+    loss scoring only a prefix makes backward start below step T - 1."""
+    rng = np.random.default_rng(40)
+    n, m = 5, 3
+    p = CellParams.init(variant, n, m, seed=41)
+    for _, arr in p.named_arrays():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    for steps in (1, 2, 31, 33, 70):
+        for batch in (1, 3):
+            xs = rng.normal(size=(steps, m, batch))
+            w, b = rng.normal(size=(4, n)), rng.normal(size=4)
+            if readout == "mse":
+                targets = rng.normal(size=(4, batch))
+            else:
+                targets = rng.integers(0, 4, (batch, steps))
+            for scored in sorted({steps, max(1, steps - 3)}):
+
+                def make_loss():
+                    if readout == "mse":
+                        head = LinearReadoutMse(w, b, targets)
+                    else:
+                        head = SoftmaxReadoutXent(w, b, targets[:, :scored])
+                    return head, _ScoredPrefix(head, scored)
+
+                head, loss = make_loss()
+                got = sequence_bptt(p, xs, loss)
+                ref_head, ref_loss = make_loss()
+                want_loss, want = _reference_bptt(p, xs, ref_loss)
+                case = (steps, batch, scored)
+                assert got.loss == want_loss, case
+                for (name, arr), (_, ref) in zip(got.grads.named_arrays(), want.named_arrays()):
+                    assert arr.tobytes() == ref.tobytes(), (case, name)
+                assert head.grad_w.tobytes() == ref_head.grad_w.tobytes(), case
+                assert head.grad_b.tobytes() == ref_head.grad_b.tobytes(), case
+
+
+def test_sequences_call_the_step_functions_every_step(monkeypatch):
+    """The per-sequence work leaves cell_forward, cell_backward and sigmoid
+    to run through the module at every step, so wrappers installed on
+    those names, as a profiler's are, see each step."""
+    p = CellParams.init("ncgru", 4, 3, seed=42)
+    steps = 9
+    xs = np.random.default_rng(43).normal(size=(steps, 3, 2))
+    calls = dict.fromkeys(("cell_forward", "cell_backward", "sigmoid"), 0)
+
+    def counting(name):
+        fn = getattr(cells, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cells, name, counting(name))
+    sequence_bptt(p, xs, SoftmaxReadoutXent(np.eye(4), np.zeros(4),
+                                            np.zeros((2, steps), dtype=int)))
+    assert min(calls.values()) >= steps, calls
+    calls["cell_forward"] = 0
+    for _ in sequence_states(p, xs):
+        pass
+    assert calls["cell_forward"] >= steps
 
 
 def test_sequence_rejects_empty():
