@@ -11,19 +11,21 @@ Inputs are (m, B) and states (n, B) columns; a 1-D vector is a ShapeError.
 h_0 is the zero state. modReLU's kink (|z| + b == 0) takes the
 subgradient 0.
 
-cell_forward writes a step's seven (n, B) rows (pre_r, pre_u, pre_c, r,
-u, c, h_t) into a (7, n, B) slot; its StepCache and h_t are views of them,
-valid until the slot is written again. A step store, step_store(n, T, B),
-is T slots, store[:, t] being step t's.
+cell_forward writes a step's five (n, B) rows (pre_c, r, u, c, h_t) into
+a (5, n, B) slot; the r and u rows take their gate's pre-activation and
+then its sigmoid in place, since backward reads only the gates. The
+StepCache and h_t are views of the rows, valid until the slot is written
+again. A step store, step_store(n, T, B), is T slots, store[:, t] being
+step t's.
 
 sequence_bptt does the work that does not depend on h once per sequence:
 W_g x_t of all T steps before the loop, one batched matmul per gate into
-the pre rows, and the input-weight and bias gradients after it. Each
-backward step writes its gate gradients over slot rows it has finished
-reading (pre_c: modReLU's dL/db_c term, r: dL/dpre_r, u: dL/dpre_u,
-c: dL/dpre_c), and the reduction adds them up in the per-step order, bit
-for bit. Once sequence_bptt returns, only the h_t rows still hold
-activations; pre_r and pre_u keep the gate pre-activations.
+the pre_c, r and u rows, and the input-weight and bias gradients after
+it. Each backward step writes its gate gradients over slot rows it has
+finished reading (pre_c: modReLU's dL/db_c term, r: dL/dpre_r,
+u: dL/dpre_u, c: dL/dpre_c), and the reduction adds them up in the
+per-step order, bit for bit. Once sequence_bptt returns, only the h_t rows
+still hold activations.
 """
 
 from __future__ import annotations
@@ -130,16 +132,14 @@ class StepCache:
     mismatched backward is rejected instead of silently using the wrong
     candidate slope.
 
-    x_t and h_prev are the arrays the step was given; the other seven are
+    x_t and h_prev are the arrays the step was given; the other five are
     views of the step's slot. Inside sequence_bptt, backward overwrites
     the pre_c, r_t, u_t and c_t rows with the step's gate gradients, so
-    of a sequence's caches only h_t, pre_r and pre_u outlive the call.
+    of a sequence's caches only h_t outlives the call.
     """
 
     x_t: np.ndarray
     h_prev: np.ndarray
-    pre_r: np.ndarray
-    pre_u: np.ndarray
     pre_c: np.ndarray
     r_t: np.ndarray
     u_t: np.ndarray
@@ -147,29 +147,41 @@ class StepCache:
     h_t: np.ndarray
     variant: str
 
+    @property
+    def pre_r(self) -> np.ndarray:
+        """r_t itself: the r row holds its pre-activation only until the
+        sigmoid. An alias for trainbench's cache probe, which counts each
+        view once by id; it goes with the probe fix of ROADMAP Direction 2."""
+        return self.r_t
+
+    @property
+    def pre_u(self) -> np.ndarray:
+        """u_t itself, as pre_r is r_t."""
+        return self.u_t
+
 
 # The rows of a step slot, in the order cell_forward writes them.
-_SLOT_ROWS = ("pre_r", "pre_u", "pre_c", "r_t", "u_t", "c_t", "h_t")
+_SLOT_ROWS = ("pre_c", "r_t", "u_t", "c_t", "h_t")
 # The slot rows pre_c, r_t, u_t and c_t that take a step's gate gradients.
-_GATE_ROWS = slice(2, 6)
+_GATE_ROWS = slice(0, 4)
 # Steps per batched input-gradient product: a (32, n, m) buffer, not (T, n, m).
 _CHUNK = 32
 
 
 def step_store(n: int, steps: int, batch: int) -> np.ndarray:
     """Uninitialised room for the activations of `steps` forward steps of
-    an n-unit cell at batch size B: a (7, steps, n, B) float64 array whose
-    store[:, t] is step t's slot. sequence_bptt leaves it holding the
-    states h_t in store[6], the gate pre-activations in store[0:2], and
-    gate gradients in store[2:6] of every step backward reached."""
+    an n-unit cell at batch size B: a (5, steps, n, B) float64 array whose
+    store[:, t] is step t's slot, rows pre_c, r, u, c and h_t.
+    sequence_bptt leaves it holding the states h_t in store[4] and gate
+    gradients in store[0:4] of every step backward reached."""
     return np.empty((len(_SLOT_ROWS), steps, n, batch))
 
 
-def _project(p: CellParams, x: np.ndarray, pre: np.ndarray) -> None:
-    """W_r x, W_u x and W_c x into pre[0], pre[1] and pre[2]: one step's
-    (m, B) inputs into a slot's rows, or a sequence's (T, m, B) inputs into
-    a store's, one batched matmul per gate."""
-    for w, out in zip((p.w_r, p.w_u, p.w_c), pre):
+def _project(p: CellParams, x: np.ndarray, rows: np.ndarray) -> None:
+    """W_c x, W_r x and W_u x into the pre_c, r and u rows, rows[0:3]: one
+    step's (m, B) inputs into a slot's rows, or a sequence's (T, m, B)
+    inputs into a store's, one batched matmul per gate."""
+    for w, out in zip((p.w_c, p.w_r, p.w_u), rows):
         np.matmul(w, x, out=out)
 
 
@@ -179,14 +191,15 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     """One step of the cell named by p.variant.
 
     x_t is (m, B) and h_prev is (n, B); returns h_t (n, B) and the cache.
-    The step's seven activations are written into slot, a (7, n, B)
+    The step's five activations are written into slot, a (5, n, B)
     float64 array such as store[:, t] of a step_store, or into a fresh
     one when slot is None; h_t and the cache's other activations are
     views of it.
     bias is sequence_bptt's form of the step: b_r, b_u and b_c broadcast
-    to a (3, n, B) array once per sequence, with slot's pre_r, pre_u and
-    pre_c rows already holding W_r x_t, W_u x_t and W_c x_t. Without it
-    the step projects x_t itself.
+    to a float64 (3, n, B) array once per sequence, with slot's pre_c, r
+    and u rows already holding W_c x_t, W_r x_t and W_u x_t. Without it
+    the step projects x_t itself. A bias without a slot is a
+    ContractError, since a fresh slot holds no projection.
     """
     x = np.asarray(x_t, dtype=np.float64)
     h = np.asarray(h_prev, dtype=np.float64)
@@ -200,19 +213,24 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
         raise ShapeError(f"batch sizes differ: x {x.shape[1]}, h {h.shape[1]}")
     want = (len(_SLOT_ROWS),) + h.shape
     if slot is None:
+        if bias is not None:
+            raise ContractError("bias needs the slot that holds the step's input projections")
         slot = np.empty(want)
     elif slot.shape != want or slot.dtype != np.float64:
         raise ShapeError(f"slot is {slot.dtype} {slot.shape}, the step needs float64 {want}")
     if bias is None:
         _project(p, x, slot[:3])
         bias = (p.b_r[:, None], p.b_u[:, None], p.b_c[:, None])
-    pre_r, pre_u, pre_c, r, u, c, h_t = slot
+    elif not (isinstance(bias, np.ndarray) and bias.dtype == np.float64
+              and bias.shape == (3,) + h.shape):
+        raise ShapeError(f"bias must be a float64 {(3,) + h.shape} array, got {np.shape(bias)}")
+    pre_c, r, u, c, h_t = slot
 
-    pre_r += p.u_r @ h
-    pre_r += bias[0]
-    pre_u += p.u_u @ h
-    pre_u += bias[1]
-    sigmoid(slot[:2], out=slot[3:5])
+    r += p.u_r @ h
+    r += bias[0]
+    u += p.u_u @ h
+    u += bias[1]
+    sigmoid(slot[1:3], out=slot[1:3])
     pre_c += p.u_c @ (r * h)
     if p.variant == "gru":
         pre_c += bias[2]
@@ -224,8 +242,8 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     np.subtract(1.0, u, out=h_t)
     h_t *= h
     h_t += u * c
-    cache = StepCache(x_t=x, h_prev=h, pre_r=pre_r, pre_u=pre_u, pre_c=pre_c,
-                      r_t=r, u_t=u, c_t=c, h_t=h_t, variant=p.variant)
+    cache = StepCache(x_t=x, h_prev=h, pre_c=pre_c, r_t=r, u_t=u, c_t=c, h_t=h_t,
+                      variant=p.variant)
     return h_t, cache
 
 
@@ -244,7 +262,7 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     Returns (weight gradients in a CellParams, dL/dh_{t-1}). Bias gradients
     are summed over the batch. When into is given, gradients accumulate
     there (and it is also returned), which is what the sequence loop uses.
-    gates is sequence_bptt's form of the step: the view slot[2:6] of the
+    gates is sequence_bptt's form of the step: the view slot[:4] of the
     cache's own slot, where the step writes its gate gradients, each row
     after its last read, and leaves the input-weight and bias gradients to
     the caller. Without gates the step adds them itself.
@@ -374,7 +392,7 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
     is a ShapeError, and without one the call makes a fresh store. The
     forward writes the T steps' activations there, and backward writes
     each reached step's gate gradients over its pre_c, r, u and c rows, so
-    on return only the h_t rows, store[6], still hold activations.
+    on return only the h_t rows, store[4], still hold activations.
     """
     xs = _sequence_inputs(p, inputs)
     steps, _, batch = xs.shape

@@ -4,9 +4,11 @@ The main oracles are an independent plain-numpy rewrite of each step and
 central finite differences through the full forward pass.
 """
 
+import ast
 import dataclasses
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,13 +60,18 @@ def test_modrelu_cases():
 
 
 def test_out_arguments_write_the_same_bits():
-    """sigmoid and modrelu into a given array equal the plain formulas."""
+    """sigmoid and modrelu into a given array equal the plain formulas, and
+    sigmoid in place (as cell_forward runs it on the r and u rows) gives the
+    bits of the out-of-place call."""
     rng = np.random.default_rng(30)
     z = rng.normal(size=(5, 3)) * 4.0
     b = rng.uniform(-1.0, 1.0, (5, 1))
     out = np.empty((5, 3))
     assert sigmoid(z, out=out) is out
     assert np.array_equal(out, 0.5 * (1.0 + np.tanh(0.5 * z)))
+    inplace = z.copy()
+    assert sigmoid(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, sigmoid(z))
     assert modrelu(z, b, out=out) is out
     assert np.array_equal(out, np.sign(z) * np.maximum(np.abs(z) + b, 0.0))
 
@@ -242,7 +249,35 @@ def test_reused_store_gives_the_fresh_store_result(variant):
         assert np.array_equal(got, want), name
     assert np.array_equal(reused_loss.grad_w, fresh_loss.grad_w)
     assert np.array_equal(reused_loss.grad_b, fresh_loss.grad_b)
-    assert np.array_equal(store[6], np.stack([h.copy() for h in sequence_states(p, second)]))
+    h_rows = store[cells._SLOT_ROWS.index("h_t")]
+    assert np.array_equal(h_rows, np.stack([h.copy() for h in sequence_states(p, second)]))
+
+
+def test_step_store_has_five_rows_and_the_gates_stand_for_their_pre_activations():
+    """A slot is pre_c, r, u, c and h_t. The r and u rows hold their gates,
+    so the cache's pre_r and pre_u are the r_t and u_t views themselves."""
+    assert step_store(5, 7, 4).shape == (5, 7, 5, 4)
+    p = CellParams.init("ncgru", 5, 3, seed=35)
+    slot = step_store(5, 1, 4)[:, 0]
+    _, cache = cell_forward(p, np.ones((3, 4)), np.zeros((5, 4)), slot)
+    for row, name in zip(slot, cells._SLOT_ROWS):
+        assert np.shares_memory(getattr(cache, name), row) and getattr(cache, name).shape == row.shape
+    assert cache.pre_r is cache.r_t
+    assert cache.pre_u is cache.u_t
+
+
+def test_trainbench_cache_probe_reads_only_step_cache_names():
+    """trainbench/probes.py counts cells.cache_bytes by reading the names in
+    its _CACHE_FIELDS off every StepCache. A name dropped from StepCache
+    would fail there, inside a benchmark child; it fails here instead."""
+    probes = Path(__file__).resolve().parents[1] / "trainbench" / "probes.py"
+    fields = next(ast.literal_eval(node.value) for node in ast.parse(probes.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "_CACHE_FIELDS" for t in node.targets))
+    _, cache = cell_forward(CellParams.init("gru", 4, 3, seed=36), np.ones((3, 2)), np.zeros((4, 2)))
+    missing = [name for name in fields if not hasattr(cache, name)]
+    assert not missing, (f"StepCache lacks {missing}, which trainbench/probes.py's _CACHE_FIELDS "
+                         "reads; keep them until the probe fix of ROADMAP Direction 2")
 
 
 def test_store_of_another_shape_is_rejected_untouched():
@@ -252,7 +287,7 @@ def test_store_of_another_shape_is_rejected_untouched():
     xs = np.random.default_rng(34).normal(size=(7, 3, 4))
     loss = LinearReadoutMse(np.eye(5), np.zeros(5), np.zeros((5, 4)))
     for store in (step_store(5, 6, 4), step_store(5, 8, 4), step_store(5, 7, 3),
-                  step_store(4, 7, 4), np.empty((7, 7, 5, 4), dtype=np.float32)):
+                  step_store(4, 7, 4), np.empty((5, 7, 5, 4), dtype=np.float32)):
         store[...] = np.nan
         with pytest.raises(ShapeError, match="step store"):
             sequence_bptt(p, xs, loss, store)
@@ -272,6 +307,20 @@ def test_store_of_another_shape_is_rejected_untouched():
         with pytest.raises(ShapeError):
             sequence_bptt(p, bad, loss, store)
         assert np.all(np.isnan(store))
+
+
+def test_step_bias_needs_its_slot_and_a_float64_3_n_b_array():
+    """sequence_bptt's form of a step: a bias without the slot that holds
+    the step's input projections is a ContractError, and a bias that is not
+    float64 (3, n, B) is a ShapeError rather than a broadcast."""
+    p = CellParams.init("ncgru", 5, 3, seed=37)
+    x, h = np.ones((3, 4)), np.zeros((5, 4))
+    with pytest.raises(ContractError, match="bias"):
+        cell_forward(p, x, h, None, np.zeros((3, 5, 4)))
+    for bad in (np.zeros(5), np.zeros((3, 5, 1)), np.zeros((3, 5, 4), dtype=np.float32),
+                np.zeros((3, 5, 4)).tolist()):
+        with pytest.raises(ShapeError, match="bias"):
+            cell_forward(p, x, h, step_store(5, 1, 4)[:, 0], bad)
 
 
 def test_batched_forward_equals_loop():
