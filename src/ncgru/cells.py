@@ -8,24 +8,23 @@
     modrelu(z, b) = sign(z) * max(|z| + b, 0)
 
 Inputs are (m, B) and states (n, B) columns; a 1-D vector is a ShapeError.
-h_0 is the zero state. modReLU's kink (|z| + b == 0) takes the
-subgradient 0.
+h_0 is the zero state. modReLU's backward reads only c_t: c_t == 0 takes
+slope 0, a valid subgradient also at the jump z == 0, b > 0.
 
-cell_forward writes a step's five (n, B) rows (pre_c, r, u, c, h_t) into
-a (5, n, B) slot; the r and u rows take their gate's pre-activation and
-then its sigmoid in place, since backward reads only the gates. The
+cell_forward writes a step's four (n, B) rows (h_t, r, u, c) into a
+(4, n, B) slot. Each of r, u and c takes its pre-activation and then its
+nonlinearity in place, since backward reads only the activations. The
 StepCache and h_t are views of the rows, valid until the slot is written
 again. A step store, step_store(n, T, B), is T slots, store[:, t] being
 step t's.
 
 sequence_bptt does the work that does not depend on h once per sequence:
 W_g x_t of all T steps before the loop, one batched matmul per gate into
-the pre_c, r and u rows, and the input-weight and bias gradients after
-it. Each backward step writes its gate gradients over slot rows it has
-finished reading (pre_c: modReLU's dL/db_c term, r: dL/dpre_r,
-u: dL/dpre_u, c: dL/dpre_c), and the reduction adds them up in the
-per-step order, bit for bit. Once sequence_bptt returns, only the h_t rows
-still hold activations.
+the r, u and c rows, and the input-weight and bias gradients after it.
+Each backward step writes its gate gradients over its own slot, each row
+once it has been read: modReLU's dL/db_c term over h_t, which step t + 1
+has read as its h_prev, and dL/dpre_r, dL/dpre_u and dL/dpre_c over r, u
+and c. The reduction adds them up in the per-step order, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,12 +55,15 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def modrelu(z: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sign(z) * relu(|z| + b) with a broadcastable bias, into out when given."""
+    """sign(z) * relu(|z| + b) with a broadcastable bias, into out when
+    given; out may be z itself, since sign(z) is taken first."""
+    sign = np.sign(z)
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(b)))
-    np.add(np.abs(z), b, out=out)
+    np.abs(z, out=out)
+    out += b
     np.maximum(out, 0.0, out=out)
-    out *= np.sign(z)
+    out *= sign
     return out
 
 
@@ -132,15 +134,15 @@ class StepCache:
     mismatched backward is rejected instead of silently using the wrong
     candidate slope.
 
-    x_t and h_prev are the arrays the step was given; the other five are
-    views of the step's slot. Inside sequence_bptt, backward overwrites
-    the pre_c, r_t, u_t and c_t rows with the step's gate gradients, so
-    of a sequence's caches only h_t outlives the call.
+    x_t and h_prev are the arrays the step was given; r_t, u_t, c_t and
+    h_t are views of the step's slot. No pre-activation is kept: the
+    candidate's is p.w_c @ x_t + p.u_c @ (r_t * h_prev). Inside
+    sequence_bptt, backward overwrites the slot rows with gate gradients,
+    all but a GRU step's h_t.
     """
 
     x_t: np.ndarray
     h_prev: np.ndarray
-    pre_c: np.ndarray
     r_t: np.ndarray
     u_t: np.ndarray
     c_t: np.ndarray
@@ -159,29 +161,34 @@ class StepCache:
         """u_t itself, as pre_r is r_t."""
         return self.u_t
 
+    @property
+    def pre_c(self) -> np.ndarray:
+        """c_t itself, as pre_r is r_t."""
+        return self.c_t
 
-# The rows of a step slot, in the order cell_forward writes them.
-_SLOT_ROWS = ("pre_c", "r_t", "u_t", "c_t", "h_t")
-# The slot rows pre_c, r_t, u_t and c_t that take a step's gate gradients.
-_GATE_ROWS = slice(0, 4)
+
+# The rows of a step slot. Backward writes the gate gradients
+# (g_b_c, g_pre_r, g_pre_u, g_pre_c) over them in this order.
+_SLOT_ROWS = ("h_t", "r_t", "u_t", "c_t")
 # Steps per batched input-gradient product: a (32, n, m) buffer, not (T, n, m).
 _CHUNK = 32
 
 
 def step_store(n: int, steps: int, batch: int) -> np.ndarray:
     """Uninitialised room for the activations of `steps` forward steps of
-    an n-unit cell at batch size B: a (5, steps, n, B) float64 array whose
-    store[:, t] is step t's slot, rows pre_c, r, u, c and h_t.
-    sequence_bptt leaves it holding the states h_t in store[4] and gate
-    gradients in store[0:4] of every step backward reached."""
+    an n-unit cell at batch size B: a (4, steps, n, B) float64 array whose
+    store[:, t] is step t's slot, rows h_t, r, u and c. sequence_bptt
+    leaves gate gradients in store[1:4] of every step backward reached,
+    and in store[0] modReLU's dL/db_c terms for NC-GRU, the states h_t
+    for GRU."""
     return np.empty((len(_SLOT_ROWS), steps, n, batch))
 
 
 def _project(p: CellParams, x: np.ndarray, rows: np.ndarray) -> None:
-    """W_c x, W_r x and W_u x into the pre_c, r and u rows, rows[0:3]: one
+    """W_r x, W_u x and W_c x into the r, u and c rows, rows[1:4]: one
     step's (m, B) inputs into a slot's rows, or a sequence's (T, m, B)
     inputs into a store's, one batched matmul per gate."""
-    for w, out in zip((p.w_c, p.w_r, p.w_u), rows):
+    for w, out in zip((p.w_r, p.w_u, p.w_c), rows[1:]):
         np.matmul(w, x, out=out)
 
 
@@ -191,13 +198,14 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     """One step of the cell named by p.variant.
 
     x_t is (m, B) and h_prev is (n, B); returns h_t (n, B) and the cache.
-    The step's five activations are written into slot, a (5, n, B)
+    The step's four activations are written into slot, a (4, n, B)
     float64 array such as store[:, t] of a step_store, or into a fresh
     one when slot is None; h_t and the cache's other activations are
-    views of it.
+    views of it. The c row takes the candidate's pre-activation and then
+    the candidate in place.
     bias is sequence_bptt's form of the step: b_r, b_u and b_c broadcast
-    to a float64 (3, n, B) array once per sequence, with slot's pre_c, r
-    and u rows already holding W_c x_t, W_r x_t and W_u x_t. Without it
+    to a float64 (3, n, B) array once per sequence, with slot's r, u and
+    c rows already holding W_r x_t, W_u x_t and W_c x_t. Without it
     the step projects x_t itself. A bias without a slot is a
     ContractError, since a fresh slot holds no projection.
     """
@@ -219,39 +227,39 @@ def cell_forward(p: CellParams, x_t: np.ndarray, h_prev: np.ndarray,
     elif slot.shape != want or slot.dtype != np.float64:
         raise ShapeError(f"slot is {slot.dtype} {slot.shape}, the step needs float64 {want}")
     if bias is None:
-        _project(p, x, slot[:3])
+        _project(p, x, slot)
         bias = (p.b_r[:, None], p.b_u[:, None], p.b_c[:, None])
     elif not (isinstance(bias, np.ndarray) and bias.dtype == np.float64
               and bias.shape == (3,) + h.shape):
         raise ShapeError(f"bias must be a float64 {(3,) + h.shape} array, got {np.shape(bias)}")
-    pre_c, r, u, c, h_t = slot
+    h_t, r, u, c = slot
 
     r += p.u_r @ h
     r += bias[0]
     u += p.u_u @ h
     u += bias[1]
     sigmoid(slot[1:3], out=slot[1:3])
-    pre_c += p.u_c @ (r * h)
+    c += p.u_c @ (r * h)
     if p.variant == "gru":
-        pre_c += bias[2]
-        np.tanh(pre_c, out=c)
+        c += bias[2]
+        np.tanh(c, out=c)
     elif p.variant == "ncgru":
-        modrelu(pre_c, bias[2], out=c)
+        modrelu(c, bias[2], out=c)
     else:
         raise ContractError(f"unknown variant {p.variant!r}")
     np.subtract(1.0, u, out=h_t)
     h_t *= h
     h_t += u * c
-    cache = StepCache(x_t=x, h_prev=h, pre_c=pre_c, r_t=r, u_t=u, c_t=c, h_t=h_t,
-                      variant=p.variant)
+    cache = StepCache(x_t=x, h_prev=h, r_t=r, u_t=u, c_t=c, h_t=h_t, variant=p.variant)
     return h_t, cache
 
 
 def _candidate_slope(p: CellParams, cache: StepCache) -> np.ndarray:
-    """d c_t / d pre_c, entrywise; for modReLU the 0/1 mask |pre_c| + b > 0."""
+    """d c_t / d pre_c, entrywise, from c_t alone; for modReLU the 0/1
+    mask c_t != 0."""
     if p.variant == "gru":
         return 1.0 - cache.c_t * cache.c_t
-    return np.abs(cache.pre_c) + p.b_c[:, None] > 0.0
+    return cache.c_t != 0.0
 
 
 def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
@@ -262,10 +270,10 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     Returns (weight gradients in a CellParams, dL/dh_{t-1}). Bias gradients
     are summed over the batch. When into is given, gradients accumulate
     there (and it is also returned), which is what the sequence loop uses.
-    gates is sequence_bptt's form of the step: the view slot[:4] of the
-    cache's own slot, where the step writes its gate gradients, each row
-    after its last read, and leaves the input-weight and bias gradients to
-    the caller. Without gates the step adds them itself.
+    gates is sequence_bptt's form of the step: the cache's own slot, where
+    the step writes its gate gradients, each row after its last read
+    (h_t is not read but for its shape), and leaves the input-weight and
+    bias gradients to the caller. Without gates the step adds them itself.
     """
     if p.variant != cache.variant:
         raise ContractError(
@@ -283,11 +291,13 @@ def cell_backward(p: CellParams, cache: StepCache, grad_h: np.ndarray,
     g_u_gate = g_h * (c - h)
     g_hprev = g_h * (1.0 - u)
     slope = _candidate_slope(p, cache)
+    # modReLU adds b_c to |pre_c|, so its gradient picks up sign(pre_c),
+    # which is sign(c_t) wherever the slope is not 0; g_pre_c overwrites c
+    sign = np.sign(c) if p.variant == "ncgru" else None
     np.multiply(g_h, u, out=g_pre_c)
     g_pre_c *= slope
-    if p.variant == "ncgru":
-        # modReLU adds b_c to |pre_c|, so its gradient picks up sign(pre_c)
-        np.multiply(g_pre_c, np.sign(cache.pre_c), out=g_b_c)
+    if sign is not None:
+        np.multiply(g_pre_c, sign, out=g_b_c)
     g.u_c += g_pre_c @ (r * h).T
     g_rh = p.u_c.T @ g_pre_c
     g_r_gate = g_rh * h
@@ -387,12 +397,14 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
     loss.loss_and_grads(hs) gets the store's (T, n, B) block of h_1 .. h_T
     and returns (scalar, step gradients): a length-T sequence whose entry
     t, read once when backward reaches step t, is dL/dh_t (n, B) or None
-    for zero.
+    for zero. For NC-GRU, backward writes step t's dL/db_c term over hs[t]
+    once it is done with step t, so a loss takes what it keeps of hs before
+    it returns, and its step gradient t may read only hs[:t + 1].
     store, step_store(p.n, T, B), is overwritten; any other shape or dtype
     is a ShapeError, and without one the call makes a fresh store. The
     forward writes the T steps' activations there, and backward writes
-    each reached step's gate gradients over its pre_c, r, u and c rows, so
-    on return only the h_t rows, store[4], still hold activations.
+    each reached step's gate gradients over its slot, so on return only a
+    GRU store's h_t rows, store[0], still hold activations.
     """
     xs = _sequence_inputs(p, inputs)
     steps, _, batch = xs.shape
@@ -403,14 +415,14 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
         raise ShapeError(f"step store is {store.dtype} {store.shape}, "
                          f"this call needs float64 {want}")
     bias = np.stack((p.b_r, p.b_u, p.b_c))[:, :, None].repeat(batch, axis=2)
-    _project(p, xs, store[:3])
+    _project(p, xs, store)
     h = np.zeros((p.n, batch))
     caches = []
     for t in range(steps):
         h, cache = cell_forward(p, xs[t], h, store[:, t], bias)
         caches.append(cache)
 
-    loss_value, step_grads = loss.loss_and_grads(store[_SLOT_ROWS.index("h_t")])
+    loss_value, step_grads = loss.loss_and_grads(store[0])
     if len(step_grads) != steps:
         raise ContractError(
             f"loss returned {len(step_grads)} step gradients for {steps} steps")
@@ -425,10 +437,10 @@ def sequence_bptt(p: CellParams, inputs, loss, store: np.ndarray | None = None
         if g_h is None:
             continue
         reached = reached or t + 1
-        grads, g_h = cell_backward(p, caches[t], g_h, grads, store[_GATE_ROWS, t])
+        grads, g_h = cell_backward(p, caches[t], g_h, grads, store[:, t])
     for end in range(reached, 0, -_CHUNK):
         begin = max(end - _CHUNK, 0)
-        _input_grads(p, grads, xs[begin:end], store[_GATE_ROWS, begin:end])
+        _input_grads(p, grads, xs[begin:end], store[:, begin:end])
     return BpttResult(loss=float(loss_value), grads=grads)
 
 
@@ -470,6 +482,7 @@ def jacobian_h(p: CellParams, cache: StepCache) -> JacobianResult:
 
     near = False
     if p.variant == "ncgru":
-        margin = np.abs(np.abs(cache.pre_c[:, 0]) + p.b_c)
+        pre_c = p.w_c @ cache.x_t + p.u_c @ (cache.r_t * cache.h_prev)
+        margin = np.abs(np.abs(pre_c[:, 0]) + p.b_c)
         near = bool(np.min(margin) < _KINK_ATOL)
     return JacobianResult(matrix=jac, near_kink=near)

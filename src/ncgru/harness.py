@@ -810,7 +810,8 @@ def _random_cell(variant: str, seed: int, n: int = 4, m: int = 3, batch: int = 2
         h = rng.uniform(-1.0, 1.0, (n, batch))
         _, cache = cell_forward(p, x, h)
         if variant == "ncgru":
-            margin = np.min(np.abs(np.abs(cache.pre_c) + p.b_c[:, None]))
+            pre_c = p.w_c @ x + p.u_c @ (cache.r_t * h)
+            margin = np.min(np.abs(np.abs(pre_c) + p.b_c[:, None]))
             if margin < kink_margin:
                 continue
         return p, x, h, rng.standard_normal((out, n)), rng.standard_normal(out), rng

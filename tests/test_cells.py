@@ -61,8 +61,8 @@ def test_modrelu_cases():
 
 def test_out_arguments_write_the_same_bits():
     """sigmoid and modrelu into a given array equal the plain formulas, and
-    sigmoid in place (as cell_forward runs it on the r and u rows) gives the
-    bits of the out-of-place call."""
+    each in place (as cell_forward runs them on the r, u and c rows) gives
+    the bits of the out-of-place call."""
     rng = np.random.default_rng(30)
     z = rng.normal(size=(5, 3)) * 4.0
     b = rng.uniform(-1.0, 1.0, (5, 1))
@@ -74,6 +74,9 @@ def test_out_arguments_write_the_same_bits():
     assert np.array_equal(inplace, sigmoid(z))
     assert modrelu(z, b, out=out) is out
     assert np.array_equal(out, np.sign(z) * np.maximum(np.abs(z) + b, 0.0))
+    inplace = z.copy()
+    assert modrelu(inplace, b, out=inplace) is inplace
+    assert np.array_equal(inplace, modrelu(z, b))
 
 
 def test_gru_zero_everything():
@@ -233,43 +236,81 @@ def _xent_loss(targets):
 def test_reused_store_gives_the_fresh_store_result(variant):
     """A store that held another batch's steps gives the second batch the
     loss and gradients of a fresh store, bit for bit, and ends up holding
-    that batch's activations."""
+    the fresh store's bits; a GRU store's h_t rows hold the states."""
     rng = np.random.default_rng(31)
     p = CellParams.init(variant, 5, 3, seed=32)
     p.b_c[:] = rng.uniform(-0.5, 0.5, 5)
     first, second = rng.normal(size=(2, 7, 3, 4))
     targets = rng.integers(0, 4, (2, 4, 7))
-    store = step_store(5, 7, 4)
+    store, fresh_store = step_store(5, 7, 4), step_store(5, 7, 4)
     sequence_bptt(p, first, _xent_loss(targets[0]), store)
     reused_loss, fresh_loss = _xent_loss(targets[1]), _xent_loss(targets[1])
     reused = sequence_bptt(p, second, reused_loss, store)
-    fresh = sequence_bptt(p, second, fresh_loss)
+    fresh = sequence_bptt(p, second, fresh_loss, fresh_store)
     assert reused.loss == fresh.loss
     for (name, got), (_, want) in zip(reused.grads.named_arrays(), fresh.grads.named_arrays()):
         assert np.array_equal(got, want), name
     assert np.array_equal(reused_loss.grad_w, fresh_loss.grad_w)
     assert np.array_equal(reused_loss.grad_b, fresh_loss.grad_b)
-    h_rows = store[cells._SLOT_ROWS.index("h_t")]
-    assert np.array_equal(h_rows, np.stack([h.copy() for h in sequence_states(p, second)]))
+    assert store.tobytes() == fresh_store.tobytes()
+    if variant == "gru":
+        h_rows = store[cells._SLOT_ROWS.index("h_t")]
+        assert np.array_equal(h_rows, np.stack([h.copy() for h in sequence_states(p, second)]))
 
 
-def test_step_store_has_five_rows_and_the_gates_stand_for_their_pre_activations():
-    """A slot is pre_c, r, u, c and h_t. The r and u rows hold their gates,
-    so the cache's pre_r and pre_u are the r_t and u_t views themselves."""
-    assert step_store(5, 7, 4).shape == (5, 7, 5, 4)
+def test_step_store_has_four_rows_and_the_candidate_stands_for_its_pre_activation():
+    """A slot is h_t, r, u and c. Each gate row holds its activation, so a
+    cache's pre_r, pre_u and pre_c are the r_t, u_t and c_t views
+    themselves, with a slot or without one."""
+    assert step_store(5, 7, 4).shape == (4, 7, 5, 4)
+    assert cells._SLOT_ROWS == ("h_t", "r_t", "u_t", "c_t")
+    rng = np.random.default_rng(39)
     p = CellParams.init("ncgru", 5, 3, seed=35)
+    p.b_c[:] = rng.uniform(-0.5, 0.5, 5)
+    x, h = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
     slot = step_store(5, 1, 4)[:, 0]
-    _, cache = cell_forward(p, np.ones((3, 4)), np.zeros((5, 4)), slot)
+    h_t, cache = cell_forward(p, x, h, slot)
     for row, name in zip(slot, cells._SLOT_ROWS):
         assert np.shares_memory(getattr(cache, name), row) and getattr(cache, name).shape == row.shape
+    assert h_t is cache.h_t
     assert cache.pre_r is cache.r_t
     assert cache.pre_u is cache.u_t
+    assert cache.pre_c is cache.c_t
+    _, own = cell_forward(p, x, h)
+    assert own.pre_c is own.c_t
+    assert np.array_equal(own.c_t, cache.c_t)
+    pre_c = p.w_c @ x + p.u_c @ (own.r_t * h)
+    assert np.array_equal(modrelu(pre_c, p.b_c[:, None]), own.c_t)
 
 
-def test_trainbench_cache_probe_reads_only_step_cache_names():
+def test_candidate_at_zero_takes_slope_zero():
+    """modReLU jumps by 2 b_c at pre_c == 0 when b_c > 0; c_t is 0 there,
+    and backward passes no gradient through the candidate, with a slot or
+    without one."""
+    p = CellParams.init("ncgru", 3, 2, seed=40)
+    for _, arr in p.named_arrays():
+        arr[:] = 0.0
+    p.b_c[:] = 0.3
+    x, h = np.ones((2, 4)), np.random.default_rng(41).normal(size=(3, 4))
+    g_h = np.ones((3, 4))
+    _, own = cell_forward(p, x, h)
+    assert np.all(p.w_c @ x + p.u_c @ (own.r_t * h) == 0.0) and np.all(own.c_t == 0.0)
+    slot = step_store(3, 1, 4)[:, 0]
+    _, in_slot = cell_forward(p, x, h, slot)
+    for cache in (own, in_slot):
+        grads, g_hprev = cell_backward(p, cache, g_h)
+        for name in ("w_c", "u_c", "b_c"):
+            assert not np.any(getattr(grads, name)), name
+        assert np.array_equal(g_hprev, g_h * (1.0 - cache.u_t))
+
+
+def test_trainbench_cache_probe_reads_only_step_cache_names(monkeypatch):
     """trainbench/probes.py counts cells.cache_bytes by reading the names in
     its _CACHE_FIELDS off every StepCache. A name dropped from StepCache
-    would fail there, inside a benchmark child; it fails here instead."""
+    would fail there, inside a benchmark child; it fails here instead. On
+    sequence_bptt's caches every name is an ndarray, and the distinct ones
+    are each step's x_t and its four slot rows (and the zero h_0), so the
+    probe counts the four-row store."""
     probes = Path(__file__).resolve().parents[1] / "trainbench" / "probes.py"
     fields = next(ast.literal_eval(node.value) for node in ast.parse(probes.read_text()).body
                   if isinstance(node, ast.Assign)
@@ -279,6 +320,34 @@ def test_trainbench_cache_probe_reads_only_step_cache_names():
     assert not missing, (f"StepCache lacks {missing}, which trainbench/probes.py's _CACHE_FIELDS "
                          "reads; keep them until the probe fix of ROADMAP Direction 2")
 
+    p = CellParams.init("ncgru", 4, 3, seed=36)
+    xs = np.random.default_rng(38).normal(size=(6, 3, 2))
+    forward = cells.cell_forward
+    caches = []
+
+    def keep(*args):
+        out = forward(*args)
+        caches.append(out[1])
+        return out
+
+    monkeypatch.setattr(cells, "cell_forward", keep)
+    store = step_store(4, 6, 2)
+    sequence_bptt(p, xs, LinearReadoutMse(np.eye(4), np.zeros(4), np.zeros((4, 2))), store)
+    seen, counted = set(), 0
+    for t, cache in enumerate(caches):
+        arrays = {name: getattr(cache, name) for name in fields}
+        assert all(isinstance(arr, np.ndarray) for arr in arrays.values())
+        rows = [getattr(cache, name) for name in cells._SLOT_ROWS]
+        assert {id(arr) for arr in arrays.values()} == {id(cache.x_t), id(cache.h_prev),
+                                                       *map(id, rows)}
+        for row, arr in zip(store[:, t], rows):
+            assert np.shares_memory(arr, row) and arr.shape == row.shape
+        for arr in arrays.values():   # the probe's count
+            if id(arr) not in seen:
+                seen.add(id(arr))
+                counted += arr.nbytes
+    assert counted == store.nbytes + xs.nbytes + caches[0].h_prev.nbytes
+
 
 def test_store_of_another_shape_is_rejected_untouched():
     """A store made for another T, B or n, or not float64, is a ShapeError
@@ -287,7 +356,7 @@ def test_store_of_another_shape_is_rejected_untouched():
     xs = np.random.default_rng(34).normal(size=(7, 3, 4))
     loss = LinearReadoutMse(np.eye(5), np.zeros(5), np.zeros((5, 4)))
     for store in (step_store(5, 6, 4), step_store(5, 8, 4), step_store(5, 7, 3),
-                  step_store(4, 7, 4), np.empty((5, 7, 5, 4), dtype=np.float32)):
+                  step_store(4, 7, 4), np.empty((4, 7, 5, 4), dtype=np.float32)):
         store[...] = np.nan
         with pytest.raises(ShapeError, match="step store"):
             sequence_bptt(p, xs, loss, store)
@@ -642,6 +711,29 @@ def test_jacobian_near_kink_flag():
     _, cache = cell_forward(p, np.zeros((2, 1)), np.zeros((3, 1)))
     jac = jacobian_h(p, cache)
     assert jac.near_kink
+
+
+def test_jacobian_of_a_slot_cache_is_the_fresh_cache_jacobian():
+    """No cache keeps the candidate's pre-activation; NC-GRU's kink flag
+    recomputes it from x_t, r_t and h_prev. A cache from a given slot gives
+    the Jacobian and the flag of a cache from a fresh one, bit for bit,
+    off the kink and on it. On the kink below, pre_c = 0.5 and b_c = -0.5
+    make c_t = 0, so a flag that read c_t for pre_c would miss it."""
+    rng = np.random.default_rng(42)
+    x, h = rng.normal(size=(2, 1)), rng.normal(size=(3, 1))
+    on_kink = CellParams.init("ncgru", 3, 2, seed=26)
+    for _, arr in on_kink.named_arrays():
+        arr[:] = 0.0
+    on_kink.w_c[:] = 0.25
+    on_kink.b_c[:] = -0.5
+    cases = [(CellParams.init(variant, 3, 2, seed=43), x, h) for variant in ("gru", "ncgru")]
+    cases.append((on_kink, np.ones((2, 1)), np.zeros((3, 1))))
+    for p, x_t, h_prev in cases:
+        want = jacobian_h(p, cell_forward(p, x_t, h_prev)[1])
+        got = jacobian_h(p, cell_forward(p, x_t, h_prev, step_store(3, 1, 1)[:, 0])[1])
+        assert np.array_equal(got.matrix, want.matrix), p.variant
+        assert got.near_kink == want.near_kink
+    assert got.near_kink
 
 
 def test_jacobian_rejects_batched_cache():
