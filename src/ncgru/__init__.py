@@ -3,8 +3,8 @@
 from .bounds import BoundReport, compute_bound, saturation_sweep
 from .cells import (BpttResult, CellParams, StepCache, cell_backward, cell_forward,
                     jacobian_h, modrelu, sequence_bptt, sequence_states, step_store)
-from .errors import (ConfigError, ContractError, ConvergenceError, NcgruError,
-                     NumericError, ShapeError, SingularMatrixError)
+from .errors import (ConfigError, ContractError, NcgruError, NumericError, ShapeError,
+                     SingularMatrixError)
 from .harness import (ExperimentConfig, LinearReadoutMse, RunResult, RunState,
                       SoftmaxReadoutXent, build_model, load_checkpoint, run_ablation,
                       run_gradcheck, run_training, save_checkpoint, train_steps)
@@ -23,8 +23,8 @@ __all__ = [
     "BpttResult", "CellParams", "LinearReadoutMse", "SoftmaxReadoutXent", "StepCache",
     "cell_backward", "cell_forward", "jacobian_h", "modrelu",
     "sequence_bptt", "sequence_states", "step_store",
-    "ConfigError", "ContractError", "ConvergenceError", "NcgruError",
-    "NumericError", "ShapeError", "SingularMatrixError",
+    "ConfigError", "ContractError", "NcgruError", "NumericError", "ShapeError",
+    "SingularMatrixError",
     "ExperimentConfig", "RunResult", "RunState", "build_model", "load_checkpoint",
     "run_ablation", "run_gradcheck", "run_training", "save_checkpoint", "train_steps",
     "exact_inverse", "fro_dist_identity", "spectral_norm",

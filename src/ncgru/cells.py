@@ -480,9 +480,14 @@ def jacobian_h(p: CellParams, cache: StepCache) -> JacobianResult:
     jac += np.diag(1.0 - u)
     jac += (u * slope)[:, None] * (p.u_c @ inner)
 
-    near = False
-    if p.variant == "ncgru":
-        pre_c = p.w_c @ cache.x_t + p.u_c @ (cache.r_t * cache.h_prev)
-        margin = np.abs(np.abs(pre_c[:, 0]) + p.b_c)
-        near = bool(np.min(margin) < _KINK_ATOL)
+    near = p.variant == "ncgru" and _kink_margin(p, cache) < _KINK_ATOL
     return JacobianResult(matrix=jac, near_kink=near)
+
+
+def _kink_margin(p: CellParams, cache: StepCache) -> float:
+    """The least | |pre_c| + b_c | of an NC-GRU step: how close its
+    candidate sits to modReLU's kink. No cache keeps pre_c, so it is
+    recomputed from x_t, r_t and h_prev with the forward's ops in the
+    forward's order."""
+    pre_c = p.w_c @ cache.x_t + p.u_c @ (cache.r_t * cache.h_prev)
+    return float(np.min(np.abs(np.abs(pre_c) + p.b_c[:, None])))

@@ -8,13 +8,15 @@ bits, checked against the shape of the array it restores. decode_int
 reads a counter, which must be a JSON integer.
 
 reading() turns the KeyError, TypeError or ValueError that a malformed
-blob raises inside a restore into ContractError.
+blob raises inside a restore into ContractError. replacing() is how every
+artifact file is written: whole or not at all.
 """
 
 from __future__ import annotations
 
 import base64
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -76,3 +78,20 @@ def reading(what: str):
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise ContractError(f"malformed {what}: {type(err).__name__}: {err}") from None
+
+
+@contextmanager
+def replacing(path):
+    """Text file handle whose content replaces path when the block ends.
+    It writes path + ".tmp" and renames that over path, so an error or a
+    crash mid-write leaves the earlier file whole; the temporary file is
+    removed on an error. No fsync: a power loss can still lose the file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -14,16 +14,7 @@ class SingularMatrixError(NcgruError, ArithmeticError):
 
 
 class ConvergenceError(NcgruError, RuntimeError):
-    """An iterative routine hit its iteration cap before meeting tolerance.
-
-    Nothing in ncgru raises it (spectral norms are exact). It stays because
-    trainbench/probes.py's _count_fallbacks counts it; the benchmark revision
-    of ROADMAP Direction 2 deletes both. Carries the last estimate.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+    """Raised by nothing; only trainbench/probes.py names it (ROADMAP Direction 2 deletes it)."""
 
 
 class NumericError(NcgruError, ArithmeticError):

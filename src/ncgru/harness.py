@@ -16,15 +16,14 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tasks
-from .cells import (CellParams, cell_backward, cell_forward, sequence_bptt, sequence_states,
-                    step_store)
-from .codec import decode, decode_int, encode, reading
+from .cells import (CellParams, _kink_margin, cell_backward, cell_forward, sequence_bptt,
+                    sequence_states, step_store)
+from .codec import decode, decode_int, encode, reading, replacing
 from .errors import ConfigError, ContractError, NumericError, ShapeError, SingularMatrixError
 from .optim import _KINDS, Optimizer
 from .orthocore import _VALID_ORDERS, SkewOrthogonal, cayley_transform
@@ -542,9 +541,12 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                  seed: int | None = None) -> RunResult:
     """Train per cfg through train_steps and write the artifacts into
     out_dir; without one the run stays in memory and writes nothing. seed
-    overrides train.seed when given."""
+    overrides train.seed when given. out_dir is made before training, so
+    a path that cannot be a directory fails before the first iteration."""
     if seed is not None:
         cfg = replace(cfg, train=replace(cfg.train, seed=seed))
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     state = build_model(cfg)
     steps = train_steps(state)
     metrics: list[MetricRow] = []
@@ -569,7 +571,6 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
                     final_eval=evals[-1] if evals else None,
                     max_drift=max_drift, max_contraction=max_contraction)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         run.metrics_path = os.path.join(out_dir, "metrics.csv")
         write_metrics_csv(metrics, run.metrics_path)
         _write_csv(os.path.join(out_dir, "timing.csv"), "step,wall_ms",
@@ -589,31 +590,14 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None,
     return run
 
 
-@contextmanager
-def _replacing(path):
-    """Text file handle whose content replaces path when the block ends.
-    It writes path + ".tmp" and renames that over path, so an error or a
-    crash mid-write leaves the earlier file whole; the temporary file is
-    removed on an error. No fsync: a power loss can still lose the file."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def _write_json(path, blob, **dump_kwargs) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         json.dump(blob, fh, **dump_kwargs)
         fh.write("\n")
 
 
 def _write_csv(path, header: str, rows) -> None:
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
@@ -718,11 +702,16 @@ def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
     ortho-placement: ortho_set in {U_c}, {U_r, U_c}, {U_r, U_u, U_c}.
 
     With out_dir, arms write under per-label subdirectories next to a
-    summary.json; without it, nothing is written.
+    summary.json; without it, nothing is written. A config that gives the
+    arms nothing to tell apart (neumann-vs-inverse without orthogonal
+    weights, ortho-placement on GRU) is a ConfigError before any arm trains.
     """
     if mode not in ABLATION_MODES:
         raise ContractError(f"unknown ablation mode {mode!r}, expected one of {ABLATION_MODES}")
     if mode == "neumann-vs-inverse":
+        if not cfg.model.ortho_set:
+            raise ConfigError("ablation neumann-vs-inverse needs orthogonal weights: "
+                              "the config's model.ortho_set is empty")
         arms = [(f"order{p}", replace(cfg, model=replace(cfg.model, neumann_order=p,
                                                          exact_inverse_mode=False)))
                 for p in (1, 2, 3)]
@@ -734,6 +723,8 @@ def run_ablation(mode: str, cfg: ExperimentConfig, out_dir: str | None = None
         arms = [(label, replace(cfg, model=replace(cfg.model, ortho_set=ortho)))
                 for label, ortho in placements]
 
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     results = []
     for label, arm_cfg in arms:
         arm_out = os.path.join(out_dir, label) if out_dir else None
@@ -808,12 +799,8 @@ def _random_cell(variant: str, seed: int, n: int = 4, m: int = 3, batch: int = 2
             p.b_c = rng.uniform(-0.5, 0.5, n)
         x = rng.standard_normal((m, batch))
         h = rng.uniform(-1.0, 1.0, (n, batch))
-        _, cache = cell_forward(p, x, h)
-        if variant == "ncgru":
-            pre_c = p.w_c @ x + p.u_c @ (cache.r_t * h)
-            margin = np.min(np.abs(np.abs(pre_c) + p.b_c[:, None]))
-            if margin < kink_margin:
-                continue
+        if variant == "ncgru" and _kink_margin(p, cell_forward(p, x, h)[1]) < kink_margin:
+            continue
         return p, x, h, rng.standard_normal((out, n)), rng.standard_normal(out), rng
     raise ContractError("could not draw a kink-free NC-GRU instance")
 

@@ -19,10 +19,10 @@ from .errors import NumericError, ShapeError, SingularMatrixError
 def _load_flapack():
     """scipy's compiled LAPACK wrappers (scipy.linalg._flapack), loaded
     from their extension file without running the package imports of
-    scipy or scipy.linalg, which cost each process about 0.2 s and 25 MB
-    (README, Install). scipy.linalg.lapack re-exports these very objects,
-    so every call is the one it would make. Raises ImportError when the
-    file is missing; there is no second path.
+    scipy or scipy.linalg, which cost each process about 0.2 s and 25 MB.
+    scipy.linalg.lapack re-exports these very objects, so every call is
+    the one it would make. Raises ImportError when the file is missing;
+    there is no second path.
     """
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:

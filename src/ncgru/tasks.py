@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import replacing
 from .errors import ContractError
 
 PARENTHESIS_PAIRS = 10
@@ -74,12 +75,6 @@ class TaskBatch:
     @property
     def batch_size(self) -> int:
         return self.stream.shape[0]
-
-    @property
-    def inputs(self) -> np.ndarray:
-        """(batch, T_total, dim) float64; a symbolic task's is one-hot
-        encoded afresh on every read."""
-        return _one_hot(self.stream, task_dims(self.task)[0]) if self._symbolic else self.stream
 
     @property
     def _symbolic(self) -> bool:
@@ -280,9 +275,10 @@ def dump_jsonl(batch: TaskBatch, path) -> int:
 
     Schema: {"task", "T", "seed", "input", "target"} with input as a
     (T_total, dim) nested list (one-hot rows for a symbolic task) and
-    target as a flat list (single-element for the scalar task).
+    target as a flat list (single-element for the scalar task). Like every
+    artifact, the file is replaced whole or not at all (codec.replacing).
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for i in range(batch.batch_size):
             if batch.loss_kind == "mse":
                 target = [float(batch.targets[i])]

@@ -736,6 +736,53 @@ def test_jacobian_of_a_slot_cache_is_the_fresh_cache_jacobian():
     assert got.near_kink
 
 
+def test_kink_margin_is_the_forward_pre_activation_margin(monkeypatch):
+    """_kink_margin recomputes the candidate's pre-activation, which no
+    cache keeps. On a fresh cache and on each slot cache sequence_bptt
+    makes (read before backward overwrites the slot), it equals the margin
+    | |z| + b | of the z and b the forward hands modReLU, bit for bit."""
+    forward_margins, slot_margins = [], []
+    modrelu_ = cells.modrelu
+    cell_forward_ = cells.cell_forward
+
+    def recording_modrelu(z, b, out=None):
+        forward_margins.append(float(np.min(np.abs(np.abs(z) + b))))
+        return modrelu_(z, b, out=out)
+
+    def recording_forward(p, *args):
+        h, cache = cell_forward_(p, *args)
+        slot_margins.append(cells._kink_margin(p, cache))
+        return h, cache
+
+    monkeypatch.setattr(cells, "modrelu", recording_modrelu)
+    monkeypatch.setattr(cells, "cell_forward", recording_forward)
+    on_kink = CellParams.init("ncgru", 3, 2, seed=26)   # pre_c 0.5, b_c -0.5
+    for _, arr in on_kink.named_arrays():
+        arr[:] = 0.0
+    on_kink.w_c[:] = 0.25
+    on_kink.b_c[:] = -0.5
+    fresh = [(on_kink, np.ones((2, 1)), np.zeros((3, 1)))]
+    for seed, batch in ((0, 1), (1, 3), (2, 5)):
+        rng = np.random.default_rng(seed)
+        p = CellParams.init("ncgru", 6, 4, seed=seed)
+        p.b_c = rng.uniform(-0.5, 0.5, 6)
+        fresh.append((p, rng.normal(size=(4, batch)), rng.normal(size=(6, batch))))
+        xs = rng.normal(size=(7, 4, batch))
+        loss = SoftmaxReadoutXent(rng.normal(size=(3, 6)), np.zeros(3),
+                                  rng.integers(0, 3, (batch, 7)))
+        forward_margins.clear()
+        slot_margins.clear()
+        sequence_bptt(p, xs, loss)
+        assert len(slot_margins) == 7
+        assert slot_margins == forward_margins, seed
+    margins = []
+    for p, x, h in fresh:
+        forward_margins.clear()
+        margins.append(cells._kink_margin(p, cell_forward_(p, x, h)[1]))
+        assert margins[-1] == forward_margins[0]
+    assert margins[0] == 0.0   # on the kink
+
+
 def test_jacobian_rejects_batched_cache():
     p = CellParams.init("gru", 3, 2, seed=27)
     _, cache = cell_forward(p, np.zeros((2, 4)), np.zeros((3, 4)))

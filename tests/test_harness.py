@@ -834,6 +834,41 @@ def test_ablation_ortho_placement():
         run_ablation("ortho-placement", gru)
 
 
+@pytest.mark.parametrize("model", [{"model.variant": "GRU"}, {"model.ortho_set": []}],
+                         ids=["gru", "ncgru_without_ortho"])
+def test_neumann_vs_inverse_without_orthogonal_weights_is_a_config_error(
+        tmp_path, monkeypatch, model):
+    """Without an orthogonal weight the four arms would be one run four
+    times; the ablation refuses before any arm trains or writes."""
+    calls = []
+    monkeypatch.setattr(harness, "make_batch", lambda *args: calls.append(args))
+    cfg = ExperimentConfig.from_dict(make_cfg(**model))
+    assert cfg.model.ortho_set == ()
+    with pytest.raises(ConfigError, match="ortho_set is empty"):
+        run_ablation("neumann-vs-inverse", cfg, out_dir=str(tmp_path / "ab"))
+    assert calls == []
+    assert not (tmp_path / "ab").exists()
+
+
+def test_unwritable_out_fails_before_training(tmp_path, monkeypatch):
+    """The output directory is made before the first batch is drawn, so a
+    path under a regular file fails at once, not after the run; a config
+    error still comes first and leaves no directory."""
+    calls = []
+    monkeypatch.setattr(harness, "make_batch", lambda *args: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = ExperimentConfig.from_dict(make_cfg())
+    for run in (lambda out: run_training(cfg, out_dir=out),
+                lambda out: run_ablation("neumann-vs-inverse", cfg, out_dir=out)):
+        with pytest.raises(OSError):
+            run(str(blocker / "sub"))
+    assert calls == []
+    with pytest.raises(ConfigError):
+        run_training(cfg, out_dir=str(tmp_path / "out"), seed=-1)
+    assert not (tmp_path / "out").exists()
+
+
 def test_ablation_rejects_unknown_mode():
     cfg = ExperimentConfig.from_dict(make_cfg(**{"train.iterations": 2}))
     for mode in ("nonsense", "norm-monitor"):
@@ -1129,6 +1164,7 @@ _CLI_CONFIGS = {
     ["train", "--config", "lr_nan.json"],
     ["gradcheck", "--scope", "cell", "--seed", "-1"],
     ["gradcheck", "--scope", "cayley", "--seed", "-1"],
+    ["ablate", "--mode", "neumann-vs-inverse", "--config", "gru.json"],
 ])
 def test_cli_invalid_gen_and_gradcheck_input_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "samples.jsonl"

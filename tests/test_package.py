@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import ncgru
+import ncgru.errors
 from ncgru import cells, orthocore
 
 
@@ -20,6 +21,15 @@ def test_public_names_resolve_once_and_removed_names_stay_gone():
         assert name not in ncgru.__all__
         for module in (ncgru, cells, orthocore):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_convergence_error_is_only_the_probes_name():
+    """Nothing raises ConvergenceError, so the package does not export it;
+    trainbench's probe still names ncgru.errors.ConvergenceError as an
+    exception class until the benchmark revision drops it."""
+    assert "ConvergenceError" not in ncgru.__all__
+    assert not hasattr(ncgru, "ConvergenceError")
+    assert issubclass(ncgru.errors.ConvergenceError, ncgru.NcgruError)
 
 
 _IMPORT_FOOTPRINT = """

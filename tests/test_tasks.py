@@ -1,10 +1,12 @@
 """Task generator tests: structure, target oracles, baselines, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from ncgru import tasks
 from ncgru.errors import ContractError
 from ncgru.tasks import (
     TaskBatch,
@@ -21,13 +23,22 @@ from ncgru.tasks import (
 )
 
 
+def one_hot(batch):
+    """The (batch, T_total, dim) inputs a batch stands for, built here and
+    not by the package: the adding task's channels as they are, a symbolic
+    task's one-hot rows of its symbols."""
+    if batch.task == "adding":
+        return batch.stream
+    return np.eye(task_dims(batch.task)[0])[batch.stream]
+
+
 def test_adding_structure():
     batch = gen_adding(T=20, batch=16, seed=0)
-    assert batch.inputs.shape == (16, 20, 2)
+    assert batch.stream.shape == (16, 20, 2)
     assert batch.targets.shape == (16,)
     assert batch.loss_kind == "mse"
-    markers = batch.inputs[:, :, 0]
-    values = batch.inputs[:, :, 1]
+    markers = batch.stream[:, :, 0]
+    values = batch.stream[:, :, 1]
     assert np.all(np.sum(markers, axis=1) == 2.0)
     # One marker in each half of the sequence.
     assert np.all(np.sum(markers[:, :10], axis=1) == 1.0)
@@ -38,8 +49,8 @@ def test_adding_structure():
 def test_adding_targets_are_marked_sums():
     batch = gen_adding(T=30, batch=8, seed=1)
     for i in range(8):
-        idx = np.flatnonzero(batch.inputs[i, :, 0])
-        want = batch.inputs[i, idx, 1].sum()
+        idx = np.flatnonzero(batch.stream[i, :, 0])
+        want = batch.stream[i, idx, 1].sum()
         assert abs(batch.targets[i] - want) < 1e-15
 
 
@@ -61,12 +72,10 @@ def test_adding_validation():
 def test_copying_structure():
     T = 50
     batch = gen_copying(T=T, batch=12, seed=3)
-    assert batch.inputs.shape == (12, T + 20, 10)
-    assert batch.targets.shape == (12, T + 20)
+    stream = batch.stream
+    assert stream.shape == batch.targets.shape == (12, T + 20)
+    assert one_hot(batch).shape == (12, T + 20, 10)
     assert np.all((batch.targets >= 0) & (batch.targets < task_dims("copying")[1]))
-    # One-hot rows.
-    assert np.all(np.sum(batch.inputs, axis=2) == 1.0)
-    stream = np.argmax(batch.inputs, axis=2)
     assert np.all((stream[:, :10] >= 1) & (stream[:, :10] <= 8))
     assert np.all(stream[:, 10 : T + 10] == 0)
     assert np.all(stream[:, T + 10] == 9)
@@ -99,11 +108,10 @@ def test_memoryless_rejects_other_tasks():
 
 def test_parenthesis_structure_and_oracle():
     batch = gen_parenthesis(T=40, batch=10, seed=5)
-    assert batch.inputs.shape == (10, 40, 21)
-    assert batch.targets.shape == (10, 40)
+    symbols = batch.stream
+    assert symbols.shape == batch.targets.shape == (10, 40)
+    assert one_hot(batch).shape == (10, 40, 21)
     assert np.all((batch.targets >= 0) & (batch.targets < task_dims("parenthesis")[1]))
-    assert np.all(np.sum(batch.inputs, axis=2) == 1.0)
-    symbols = np.argmax(batch.inputs, axis=2)
     # Independent stack simulation per sample.
     for b in range(10):
         depth = 0
@@ -126,7 +134,7 @@ def test_parenthesis_structure_and_oracle():
 def test_parenthesis_targets_cap_at_ten():
     # long streams open more than 10 brackets at once; the class stays 10
     batch = gen_parenthesis(T=400, batch=4, seed=3)
-    symbols = np.argmax(batch.inputs, axis=2)
+    symbols = batch.stream
     is_bracket = symbols < 20
     depth = np.cumsum(is_bracket * np.where(symbols % 2 == 0, 1, -1), axis=1)
     assert np.any(depth > 10)
@@ -136,7 +144,7 @@ def test_parenthesis_targets_cap_at_ten():
 def test_parenthesis_noise_only_targets_zero():
     # a stream that has only seen noise has nothing open
     batch = gen_parenthesis(T=6, batch=64, seed=0)
-    quiet = np.cumsum(np.argmax(batch.inputs, axis=2) != 20, axis=1) == 0
+    quiet = np.cumsum(batch.stream != 20, axis=1) == 0
     assert quiet[:, -1].any()   # some streams are noise throughout
     assert np.all(batch.targets[quiet] == 0)
 
@@ -145,9 +153,9 @@ def test_denoise_structure_and_oracle():
     T = 25
     alphabet = 10
     batch = gen_denoise(T=T, batch=8, seed=8)
-    assert batch.inputs.shape == (8, T + 10, alphabet + 2)
+    assert one_hot(batch).shape == (8, T + 10, alphabet + 2)
     assert task_dims("denoise") == (alphabet + 2, alphabet + 1)
-    stream = np.argmax(batch.inputs, axis=2)
+    stream = batch.stream
     noise, marker = alphabet, alphabet + 1
     assert np.all(stream[:, T] == marker)
     assert np.all(stream[:, T + 1 :] == noise)
@@ -170,16 +178,16 @@ def test_generators_deterministic():
     for task in ("adding", "copying", "parenthesis", "denoise"):
         a = make_batch(task, T=15, batch=5, seed=42)
         b = make_batch(task, T=15, batch=5, seed=42)
-        assert np.array_equal(a.inputs, b.inputs), task
+        assert np.array_equal(one_hot(a), one_hot(b)), task
         assert np.array_equal(a.targets, b.targets), task
         c = make_batch(task, T=15, batch=5, seed=43)
-        assert not np.array_equal(a.inputs, c.inputs), task
+        assert not np.array_equal(one_hot(a), one_hot(c)), task
 
 
 def test_make_batch_dispatch_and_unknown():
     batch = make_batch("parenthesis", T=12, batch=3, seed=0)
     assert batch.task == "parenthesis"
-    assert np.array_equal(batch.inputs, gen_parenthesis(T=12, batch=3, seed=0).inputs)
+    assert np.array_equal(one_hot(batch), one_hot(gen_parenthesis(T=12, batch=3, seed=0)))
     with pytest.raises(TypeError):   # a task has no options
         make_batch("parenthesis", T=12, batch=3, seed=0, n_pairs=2)
     with pytest.raises(ContractError):
@@ -204,7 +212,7 @@ def test_step_inputs_layout():
         assert s.shape == (2, 4)
         assert s.flags.c_contiguous
         assert s.base is steps[0].base
-        assert np.array_equal(s, batch.inputs[:, t, :].T)
+        assert np.array_equal(s, one_hot(batch)[:, t, :].T)
     streamed = list(batch.stream_step_inputs())
     assert len(streamed) == 7
     for s, want in zip(streamed, steps):
@@ -221,8 +229,7 @@ def test_symbolic_step_inputs_are_the_one_hot_of_the_symbols(task, total):
     batch = make_batch(task, T=15, batch=4, seed=8)
     dim = task_dims(task)[0]
     assert batch.stream.shape == (4, total) and batch.stream.dtype == np.int64
-    want = np.eye(dim)[batch.stream]
-    assert np.array_equal(batch.inputs, want)
+    want = one_hot(batch)
     steps = batch.step_inputs()
     assert len(steps) == total
     assert steps[0].base.shape == (total, dim, 4)
@@ -248,7 +255,7 @@ def test_jsonl_round_trip(tmp_path):
         assert rec["task"] == "adding"
         assert rec["T"] == 6
         assert rec["seed"] == 10
-        assert np.array_equal(np.array(rec["input"]), batch.inputs[i])
+        assert np.array_equal(np.array(rec["input"]), one_hot(batch)[i])
         assert rec["target"] == [batch.targets[i]]
 
     path2 = tmp_path / "copying.jsonl"
@@ -257,4 +264,27 @@ def test_jsonl_round_trip(tmp_path):
     recs = [json.loads(line) for line in path2.read_text().splitlines()]
     for i, rec in enumerate(recs):
         assert rec["target"] == [int(v) for v in cb.targets[i]]
-        assert np.array_equal(np.array(rec["input"]), cb.inputs[i])
+        assert np.array_equal(np.array(rec["input"]), one_hot(cb)[i])
+
+
+def test_failed_jsonl_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    """gen writes through codec.replacing like every artifact: an error on
+    the second sample leaves the earlier file byte for byte and no .tmp."""
+    path = tmp_path / "copying.jsonl"
+    dump_jsonl(gen_copying(T=5, batch=3, seed=11), path)
+    before = path.read_bytes()
+    dumps = json.dumps
+    calls = []
+
+    def failing_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise ValueError("second sample")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(tasks.json, "dumps", failing_dumps)
+    with pytest.raises(ValueError, match="second sample"):
+        dump_jsonl(gen_copying(T=5, batch=3, seed=12), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["copying.jsonl"]
